@@ -9,10 +9,11 @@ Writes ``BENCH_arbitration.json`` with three sections:
   attribution) on top of raw member scoring, asserted to stay under
   ``MAX_FUSION_SURCHARGE`` of the panel's total.
 - **HSMM batch-vs-loop**: the panel scores event members through
-  ``score_sequences``; for the HSMM that is a genuinely batched path
-  (one log-parameter build shared across the batch).  Asserts the batch
-  path returns the same scores as the per-sequence loop and is not
-  slower (the whole point of routing panels through it).
+  ``score_sequences``; for the HSMM that is one padded forward pass per
+  model over the whole batch.  Asserts the batch path returns the same
+  scores as the per-sequence loop and is at least
+  ``MIN_HSMM_BATCH_SPEEDUP`` faster (the whole point of routing panels
+  through it).
 - **serial-vs-process determinism**: a small closed-loop fleet grid with
   a Noisy-OR predictor spec, run on the serial and process backends,
   asserting byte-identical aggregate documents — nested ensemble specs
@@ -61,12 +62,11 @@ PANEL = {
 #: must be dominated by its members, not by the glue.
 MAX_FUSION_SURCHARGE = 0.5
 
-#: The batch path shares one log-parameter build, but the per-call
-#: fingerprint cache gives the loop nearly the same amortization, so the
-#: two are within noise of each other on a warm model.  The gate is
-#: "never meaningfully slower": a batch path that regresses past this
-#: slack has lost its reason to exist.
-TIMING_SLACK = 1.25
+#: The batch path steps the forward recursion once per time slot for all
+#: sequences, while the loop pays that per-slot Python overhead once per
+#: sequence; on 150 panel sequences the batch measured about 20x.  A
+#: batch path that falls below this floor has lost its reason to exist.
+MIN_HSMM_BATCH_SPEEDUP = 3.0
 
 #: Scoring repetitions; the minimum wall time is recorded (noise floor).
 REPEATS = 2
@@ -170,6 +170,8 @@ def test_bench_arbitration(tmp_path):
             "batch_seconds": batch_time,
             "loop_seconds": loop_time,
             "speedup": hsmm_speedup,
+            "min_speedup": MIN_HSMM_BATCH_SPEEDUP,
+            "cpu_count": os.cpu_count(),
         },
         "fleet_determinism": {
             "aggregates_identical": serial_doc == parallel_doc,
@@ -194,9 +196,9 @@ def test_bench_arbitration(tmp_path):
         "noisy-or fleet aggregate diverged between serial and process backends"
     )
     assert batched_scores.shape == (len(sequences),)
-    assert batch_time <= loop_time * TIMING_SLACK, (
-        f"HSMM batched scoring ({batch_time:.3f}s) slower than the "
-        f"per-sequence loop ({loop_time:.3f}s)"
+    assert hsmm_speedup >= MIN_HSMM_BATCH_SPEEDUP, (
+        f"HSMM batched scoring ({batch_time:.3f}s) only {hsmm_speedup:.1f}x "
+        f"the per-sequence loop ({loop_time:.3f}s)"
     )
     assert surcharge_fraction <= MAX_FUSION_SURCHARGE, (
         f"arbitration surcharge {100 * surcharge_fraction:.1f}% exceeds "

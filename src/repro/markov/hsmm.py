@@ -24,27 +24,34 @@ Inference (forward likelihood, Viterbi segmentation) runs in log space in
 
 Inference-core architecture
 ---------------------------
-The hot path is vectorized over the duration axis (``strategy="vectorized"``,
-the default): per time slot the admissible segment scores for *all*
-durations are assembled with one gather from the cumulative-emission table
-(:meth:`_segment_emissions`) and reduced with a single ``logsumexp`` /
-``argmax``, and the entry mass ``in(t, j)`` is maintained incrementally
-instead of being recomputed per duration.  The soft-EM E-step accumulates
-segment posteriors duration-major: per duration ``d`` all starts are
-handled at once, and per-slot emission mass is recovered from a
-difference-array (cumulative range-update) instead of walking every symbol
-of every candidate segment -- dropping the E-step from ``O(T^2 * D * N)``
-to ``O(T * D * N)``.  Log-parameters are memoized behind a
-parameter-version fingerprint so repeated scoring calls and the many table
-builds inside one EM iteration share a single ``_log_params`` computation.
-The original loop implementations are preserved verbatim behind
-``strategy="reference"`` as an always-available correctness oracle.
+Scoring and Viterbi (``strategy="vectorized"``, the default) run one kernel
+over a whole batch: the sequences are right-padded into a ``(T_max, B)``
+symbol matrix and the recursion steps once per time slot for all of them,
+assembling the segment scores of *all* durations from a running
+cumulative-emission sum and reducing them with one ``logsumexp`` /
+``argmax``.  Each score is read at its sequence's own last slot.  Right
+padding is exact: slot ``t`` only reads slots ``<= t``, so padding never
+reaches an earlier slot, and the reductions are in-order scans rather than
+shape-dependent pairwise sums -- a batched score is bit-identical to the
+sequence scored alone, which is what a single sequence is (a batch of one).
+Columns run longest first, so finished sequences drop out of the per-slot
+work.  The working set is ``O(D * B * N)``: entry masses and cumulative
+emissions of the last ``D`` start slots live in ring buffers (Viterbi adds
+its back-pointers, in the smallest integer type that holds them).  Hard-EM
+segments all training sequences of an iteration in one pass.
+
+The soft-EM E-step runs per sequence over full forward/backward tables,
+accumulating segment posteriors duration-major with a difference-array for
+the per-slot emission mass -- ``O(T * D * N)`` instead of ``O(T^2 * D * N)``.
+Log-parameters are memoized behind a parameter-version fingerprint, so one
+EM iteration or scoring batch builds them once.  The original loop
+implementations stay behind ``strategy="reference"`` as the correctness
+oracle.
 """
 
 from __future__ import annotations
 
 import copy
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -97,24 +104,28 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Vectorized inference kernels (module-level so worker processes can run
-# them without pickling a full model).
+# Vectorized inference kernels
 # ----------------------------------------------------------------------
 
 
-def _lse(a: np.ndarray, axis: int) -> np.ndarray:
-    """Lean log-sum-exp reduction.
+def _lse(a: np.ndarray) -> np.ndarray:
+    """Log-sum-exp over axis 0, adding the rows strictly in order.
 
     ``scipy.special.logsumexp``'s array-API dispatch costs more than the
     arithmetic on the small per-slot arrays this module reduces, so the
-    vectorized kernels use this minimal max-shifted implementation (the
-    reference strategy keeps scipy's, which computes the same value).
+    kernels use this minimal max-shifted form (the reference strategy keeps
+    scipy's, which computes the same value).  ``np.add.accumulate`` is an
+    in-order scan whatever the array's shape, whereas ``np.sum`` switches
+    to pairwise summation when the reduced axis is the contiguous one (e.g.
+    a lone single-state sequence); the scan keeps a batched column
+    bit-identical to the same sequence scored alone.
     """
-    m = np.max(a, axis=axis)
-    safe = np.where(np.isfinite(m), m, 0.0)
+    m = a.max(axis=0)
+    finite = np.isfinite(m)
+    safe = np.where(finite, m, 0.0)
     with np.errstate(divide="ignore"):
-        out = safe + np.log(np.sum(np.exp(a - np.expand_dims(safe, axis)), axis=axis))
-    return np.where(np.isfinite(m), out, m)
+        out = safe + np.log(np.add.accumulate(np.exp(a - safe), axis=0)[-1])
+    return np.where(finite, out, m)
 
 
 def _forward_pass(
@@ -125,7 +136,8 @@ def _forward_pass(
     cum: np.ndarray,
     max_duration: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Duration-vectorized forward recursion.
+    """Duration-vectorized forward recursion over one sequence, keeping the
+    full tables the soft-EM E-step needs (scoring uses :func:`_forward_batch`).
 
     Returns ``(alpha, in_log)`` where ``alpha[t, j]`` is the log-mass of
     segments of state ``j`` ending exactly at ``t`` and ``in_log[s, j]``
@@ -150,9 +162,9 @@ def _forward_pass(
             + log_d_t[:d_max]
             + (cum[t] - cum0[starts][::-1])
         )
-        alpha[t] = _lse(terms, axis=0)
+        alpha[t] = _lse(terms)
         if t + 1 < n:
-            in_log[t + 1] = _lse(alpha[t][:, None] + log_a, axis=0)
+            in_log[t + 1] = _lse(alpha[t][:, None] + log_a)
     return alpha, in_log
 
 
@@ -182,38 +194,160 @@ def _backward_pass(
         d_max = min(max_duration, n - 1 - t)
         ends = slice(t + 1, t + 1 + d_max)  # end slot for d = 1 .. d_max
         terms = log_d_t[:d_max] + (cum[ends] - cum[t]) + beta[ends]
-        eta[t + 1] = _lse(terms, axis=0)
-        beta[t] = _lse(log_a + eta[t + 1][None, :], axis=1)
+        eta[t + 1] = _lse(terms)
+        beta[t] = _lse(log_a.T + eta[t + 1][:, None])
     return beta, eta
 
 
-def _ll_chunk_worker(payload: tuple) -> list[float]:
-    """Score a chunk of sequences in a worker process.
+class _RaggedBatch:
+    """Sequences right-padded into one ``(T_max, B)`` symbol matrix.
 
-    Receives plain parameter arrays (never a model instance), so it works
-    for models whose duration factories are unpicklable closures.
+    Columns run longest sequence first, so the sequences still running at
+    slot ``t`` are always the prefix ``[:active[t]]`` and the columns
+    ``[active[t + 1]:active[t]]`` end at ``t``; the padding (symbol 0) is
+    never read.  ``order[c]`` is the caller's index of column ``c``.
     """
-    log_pi, log_a, log_b, log_d, max_duration, chunk = payload
-    out: list[float] = []
-    for obs in chunk:
-        cum = np.cumsum(log_b[:, obs].T, axis=0)
-        alpha, _ = _forward_pass(obs, log_pi, log_a, log_d, cum, max_duration)
-        out.append(float(logsumexp(alpha[-1])))
+
+    def __init__(self, observations: Sequence[np.ndarray]) -> None:
+        lengths = np.array([obs.size for obs in observations])
+        self.order = np.argsort(-lengths, kind="stable")
+        self.lengths = lengths[self.order]
+        t_max = int(self.lengths[0])
+        self.symbols = np.zeros((t_max, lengths.size), dtype=np.intp)
+        for col, idx in enumerate(self.order):
+            self.symbols[: self.lengths[col], col] = observations[idx]
+        ended = np.cumsum(np.bincount(lengths, minlength=t_max + 1))[:t_max]
+        self.active: list[int] = (lengths.size - ended).tolist()
+
+
+def _rows(ring: np.ndarray, t: int) -> slice:
+    """Rows of a slot ring for the segments ending at slot ``t``.
+
+    A ring stores slot ``s`` at rows ``-s % D`` and ``-s % D + D``, so row
+    ``q + r`` of the returned slice holds start slot ``t - r``, i.e. the
+    segment of duration ``r + 1``.
+    """
+    depth = len(ring) // 2
+    q = -t % depth
+    return slice(q, q + min(depth, t + 1))
+
+
+def _push(ring: np.ndarray, t: int, values: np.ndarray) -> None:
+    """Store ``values`` (a running prefix) as slot ``t`` of a ring."""
+    depth = len(ring) // 2
+    q = -t % depth
+    ring[q, : len(values)] = ring[q + depth, : len(values)] = values
+
+
+def _ring(batch: _RaggedBatch, params: LogParams, first, dtype=float) -> np.ndarray:
+    """A ``(2 * D, B, N)`` slot ring holding ``first`` as slot 0."""
+    n_states, max_duration = params.log_d.shape
+    ring = np.empty((2 * max_duration, len(batch.order), n_states), dtype=dtype)
+    _push(ring, 0, np.broadcast_to(first, ring.shape[1:]))
+    return ring
+
+
+def _slot_scores(batch: _RaggedBatch, params: LogParams, entry: np.ndarray):
+    """Step the padded batch one slot at a time.
+
+    Yields ``(t, n_next, scores)``: ``scores[r, c, j]`` is the log-score of
+    a segment of state ``j`` and duration ``r + 1`` ending at slot ``t`` in
+    running column ``c`` (entry mass at its start slot, duration, and the
+    emissions as a difference of the running cumulative sum).  Columns
+    ``[n_next:]`` end at ``t``.  Before asking for slot ``t + 1`` the
+    caller stores its entry masses for the first ``n_next`` columns with
+    ``_push(entry, t + 1, ...)``.
+    """
+    log_b_t = params.log_b.T
+    log_d_t = params.log_d.T[:, None, :]
+    start_cum = _ring(batch, params, 0.0)  # cum0[s] = cum[s - 1], cum0[0] = 0
+    cum = np.zeros(start_cum.shape[1:])
+    active = batch.active + [0]
+    for t, symbols in enumerate(batch.symbols):
+        n, n_next = active[t], active[t + 1]
+        cum = cum[:n] + log_b_t[symbols[:n]]
+        rows = _rows(entry, t)
+        yield t, n_next, (
+            entry[rows, :n] + log_d_t[: rows.stop - rows.start]
+            + (cum - start_cum[rows, :n])
+        )
+        _push(start_cum, t + 1, cum[:n_next])
+
+
+def _forward_batch(batch: _RaggedBatch, params: LogParams) -> np.ndarray:
+    """Log-likelihood of every sequence of ``batch``, in the caller's order.
+
+    The forward recursion of :func:`_forward_pass`, stepped for all
+    sequences at once; each sequence's ``alpha`` row is kept only at its
+    own last slot.
+    """
+    log_a = params.log_a[:, None, :]
+    entry = _ring(batch, params, params.log_pi)
+    last = np.empty(entry.shape[1:])
+    for t, n_next, scores in _slot_scores(batch, params, entry):
+        alpha = _lse(scores)
+        last[n_next : len(alpha)] = alpha[n_next:]
+        if n_next:
+            _push(entry, t + 1, _lse(alpha[:n_next].T[:, :, None] + log_a))
+    out = np.empty(len(last))
+    out[batch.order] = logsumexp(last, axis=1)
     return out
 
 
-def _restart_worker(payload: tuple) -> tuple[list[float], tuple]:
-    """Run one randomized EM restart in a worker process."""
-    model, observations, fit_kwargs, seed = payload
-    model._randomize(np.random.default_rng(seed))
-    trace = model.fit(observations, n_restarts=1, n_jobs=1, **fit_kwargs)
-    state = (
-        model.initial,
-        model.transition,
-        model.emission,
-        model.durations,
-    )
-    return trace, state
+def _viterbi_batch(batch: _RaggedBatch, params: LogParams) -> list[list[Segment]]:
+    """Viterbi segmentation of every sequence of ``batch``, in the caller's
+    order.  The ``argmax`` over durations takes the first maximum, i.e. the
+    shortest duration, exactly as the reference; the best scores are the
+    matching ``max``, so no gather is needed.
+    """
+    n_states, max_duration = params.log_d.shape
+    # Smallest signed type holding durations 1..D and predecessors -1..N-1.
+    index_type = np.min_scalar_type(-1 - max(max_duration, n_states))
+    shape = batch.symbols.shape + (n_states,)
+    best_dur = np.empty(shape, dtype=index_type)
+    entry_arg = np.empty(shape, dtype=index_type)
+    entry_arg[0] = -1
+    entry = _ring(batch, params, params.log_pi)
+    final = np.empty(entry.shape[1:])
+    for t, n_next, scores in _slot_scores(batch, params, entry):
+        n = scores.shape[1]
+        best_dur[t, :n] = scores.argmax(axis=0) + 1
+        delta = scores.max(axis=0)
+        final[n_next:n] = delta[n_next:]
+        if n_next:
+            candidates = delta[:n_next, :, None] + params.log_a
+            entry_arg[t + 1, :n_next] = candidates.argmax(axis=1)
+            _push(entry, t + 1, candidates.max(axis=1))
+    segmentations: list = [None] * len(final)
+    for col, (idx, length) in enumerate(zip(batch.order, batch.lengths, strict=True)):
+        segmentations[idx] = _viterbi_backtrack(
+            final[col], best_dur[:length, col], entry_arg[:length, col]
+        )
+    return segmentations
+
+
+def _viterbi_backtrack(
+    final_delta: np.ndarray, best_dur: np.ndarray, entry_arg: np.ndarray
+) -> list[Segment]:
+    """Segments of the best path from a sequence's Viterbi tables.
+
+    ``best_dur[t, j]`` is the duration of the best segment of ``j`` ending
+    at ``t``; ``entry_arg[s, j]`` the best predecessor of a segment of
+    ``j`` starting at ``s`` (``-1`` at ``s = 0``).
+    """
+    segments: list[Segment] = []
+    t = len(best_dur) - 1
+    state = int(np.argmax(final_delta))
+    while t >= 0:
+        d = int(best_dur[t, state])
+        if d <= 0:
+            raise ModelError("Viterbi backtrack failed (zero duration)")
+        start = t - d + 1
+        segments.append(Segment(state=state, start=start, end=t))
+        state = int(entry_arg[start, state])
+        t = start - 1
+    segments.reverse()
+    return segments
 
 
 class HiddenSemiMarkovModel:
@@ -332,46 +466,8 @@ class HiddenSemiMarkovModel:
         return np.cumsum(step, axis=0)
 
     # ------------------------------------------------------------------
-    # Forward / backward tables (strategy dispatch)
+    # Reference loops (correctness oracle)
     # ------------------------------------------------------------------
-
-    def _forward_table(
-        self,
-        obs: np.ndarray,
-        params: LogParams | None = None,
-        cum: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Log forward table: ``alpha[t, j]`` = log P(obs[0..t], segment of
-        state ``j`` ends exactly at slot ``t``)."""
-        if params is None:
-            params = self._log_params()
-        if cum is None:
-            cum = self._segment_emissions(obs, params.log_b)
-        if self.strategy == "reference":
-            return self._forward_reference(obs, params, cum)
-        alpha, _ = _forward_pass(
-            obs, params.log_pi, params.log_a, params.log_d, cum, self.max_duration
-        )
-        return alpha
-
-    def _backward_table(
-        self,
-        obs: np.ndarray,
-        params: LogParams | None = None,
-        cum: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Log backward table: ``beta[t, j]`` = log P(obs[t+1..] | a segment
-        of state ``j`` ends exactly at slot ``t``)."""
-        if params is None:
-            params = self._log_params()
-        if cum is None:
-            cum = self._segment_emissions(obs, params.log_b)
-        if self.strategy == "reference":
-            return self._backward_reference(obs, params, cum)
-        beta, _ = _backward_pass(
-            obs, params.log_a, params.log_d, cum, self.max_duration
-        )
-        return beta
 
     def _forward_reference(
         self, obs: np.ndarray, params: LogParams, cum: np.ndarray
@@ -427,101 +523,53 @@ class HiddenSemiMarkovModel:
         """Log-probability that the model generated ``sequence``.
 
         A segment boundary is assumed at the end of the sequence (the
-        standard right-boundary convention for segment models).
+        standard right-boundary convention for segment models).  Scored as
+        a batch of one, so it equals the sequence's entry of
+        :meth:`log_likelihood_batch` exactly.
         """
-        obs = self._check_sequence(sequence)
-        alpha = self._forward_table(obs)
-        return float(logsumexp(alpha[-1]))
+        return float(self._log_likelihoods([self._check_sequence(sequence)])[0])
 
-    def log_likelihood_batch(
-        self, sequences: Sequence[Sequence[int]], n_jobs: int = 1
-    ) -> np.ndarray:
-        """Log-likelihood of every sequence, sharing one parameter build.
+    def log_likelihood_batch(self, sequences: Sequence[Sequence[int]]) -> np.ndarray:
+        """Log-likelihood of every sequence, scored in one padded pass.
 
-        The log-parameter tables and the strategy dispatch are resolved
-        once for the whole batch; with ``n_jobs > 1`` the sequences are
-        scored by a pool of worker processes (worth it only for many or
-        long sequences -- process startup costs milliseconds).  Workers
-        receive plain parameter arrays, so parallel scoring works even
-        when the duration factory is an unpicklable closure.
+        The log-parameters are built once and the forward recursion steps
+        once per time slot for the whole right-padded batch (see the module
+        docstring); each score is bit-identical to scoring its sequence
+        alone.
         """
         observations = [self._check_sequence(seq) for seq in sequences]
         if not observations:
             return np.empty(0)
-        params = self._log_params()
-        if n_jobs > 1 and len(observations) > 1 and self.strategy != "reference":
-            try:
-                return self._batch_parallel(observations, params, n_jobs)
-            except Exception:  # pfmlint: disable=PFM009 -- best-effort speedup: any pool failure (e.g. sandboxed) falls through to the identical serial path below
-                pass
-        out = np.empty(len(observations))
-        for i, obs in enumerate(observations):
-            cum = self._segment_emissions(obs, params.log_b)
-            alpha = self._forward_table(obs, params=params, cum=cum)
-            out[i] = logsumexp(alpha[-1])
-        return out
+        return self._log_likelihoods(observations)
 
-    def _batch_parallel(
-        self, observations: list[np.ndarray], params: LogParams, n_jobs: int
-    ) -> np.ndarray:
-        n_jobs = min(int(n_jobs), len(observations))
-        chunks = [observations[k::n_jobs] for k in range(n_jobs)]
-        payloads = [
-            (params.log_pi, params.log_a, params.log_b, params.log_d,
-             self.max_duration, chunk)
-            for chunk in chunks if chunk
-        ]
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            parts = list(pool.map(_ll_chunk_worker, payloads))
-        out = np.empty(len(observations))
-        for k, part in enumerate(parts):
-            out[k::n_jobs] = part
-        return out
+    def _log_likelihoods(self, observations: list[np.ndarray]) -> np.ndarray:
+        params = self._log_params()
+        if self.strategy == "reference":
+            return np.array([
+                logsumexp(self._forward_reference(
+                    obs, params, self._segment_emissions(obs, params.log_b)
+                )[-1])
+                for obs in observations
+            ])
+        return _forward_batch(_RaggedBatch(observations), params)
 
     def viterbi(self, sequence: Sequence[int]) -> list[Segment]:
         """Most likely segmentation of ``sequence`` into state runs."""
         obs = self._check_sequence(sequence)
-        params = self._log_params()
-        cum = self._segment_emissions(obs, params.log_b)
-        if self.strategy == "reference":
-            return self._viterbi_reference(obs, params, cum)
-        return self._viterbi_vectorized(obs, params, cum)
+        return self._segmentations([obs], self._log_params())[0]
 
-    def _viterbi_vectorized(
-        self, obs: np.ndarray, params: LogParams, cum: np.ndarray
-    ) -> list[Segment]:
-        log_pi, log_a, _, log_d = params
-        n = obs.size
-        n_states = self.n_states
-        cum0 = np.vstack([np.zeros((1, n_states)), cum])
-        log_d_t = log_d.T
-        delta = np.empty((n, n_states))
-        best_dur = np.zeros((n, n_states), dtype=int)
-        best_prev = np.full((n, n_states), -1, dtype=int)
-        # prev_val[s, j] = best log-score of entering state j at slot s;
-        # prev_arg[s, j] = the argmax predecessor state (-1 at s = 0).
-        prev_val = np.empty((n, n_states))
-        prev_arg = np.full((n, n_states), -1, dtype=int)
-        prev_val[0] = log_pi
-        cols = np.arange(n_states)
-        for t in range(n):
-            d_max = min(self.max_duration, t + 1)
-            # Row k corresponds to duration d = k + 1, i.e. start slot t - k.
-            starts = slice(t - d_max + 1, t + 1)
-            scores = (
-                prev_val[starts][::-1]
-                + log_d_t[:d_max]
-                + (cum[t] - cum0[starts][::-1])
-            )
-            d_idx = np.argmax(scores, axis=0)  # first max <=> smallest duration
-            delta[t] = scores[d_idx, cols]
-            best_dur[t] = d_idx + 1
-            best_prev[t] = prev_arg[t - d_idx, cols]
-            if t + 1 < n:
-                candidates = delta[t][:, None] + log_a
-                prev_arg[t + 1] = np.argmax(candidates, axis=0)
-                prev_val[t + 1] = candidates[prev_arg[t + 1], cols]
-        return self._viterbi_backtrack(n, delta, best_dur, best_prev)
+    def _segmentations(
+        self, observations: list[np.ndarray], params: LogParams
+    ) -> list[list[Segment]]:
+        """Viterbi segmentation of every sequence (one padded pass)."""
+        if self.strategy == "reference":
+            return [
+                self._viterbi_reference(
+                    obs, params, self._segment_emissions(obs, params.log_b)
+                )
+                for obs in observations
+            ]
+        return _viterbi_batch(_RaggedBatch(observations), params)
 
     def _viterbi_reference(
         self, obs: np.ndarray, params: LogParams, cum: np.ndarray
@@ -531,7 +579,7 @@ class HiddenSemiMarkovModel:
         n = obs.size
         delta = np.full((n, self.n_states), -np.inf)
         best_dur = np.zeros((n, self.n_states), dtype=int)
-        best_prev = np.full((n, self.n_states), -1, dtype=int)
+        entry_arg = np.full((n, self.n_states), -1, dtype=int)
         for t in range(n):
             d_max = min(self.max_duration, t + 1)
             for d in range(1, d_max + 1):
@@ -540,39 +588,18 @@ class HiddenSemiMarkovModel:
                 dur = log_d[:, d - 1]
                 if start == 0:
                     scores = log_pi + dur + emis
-                    prev_state = np.full(self.n_states, -1, dtype=int)
                 else:
                     candidates = delta[start - 1][:, None] + log_a
-                    prev_state = np.argmax(candidates, axis=0)
+                    entry_arg[start] = np.argmax(candidates, axis=0)
                     scores = (
-                        candidates[prev_state, np.arange(self.n_states)] + dur + emis
+                        candidates[entry_arg[start], np.arange(self.n_states)]
+                        + dur
+                        + emis
                     )
                 better = scores > delta[t]
                 delta[t][better] = scores[better]
                 best_dur[t][better] = d
-                best_prev[t][better] = prev_state[better]
-        return self._viterbi_backtrack(n, delta, best_dur, best_prev)
-
-    def _viterbi_backtrack(
-        self,
-        n: int,
-        delta: np.ndarray,
-        best_dur: np.ndarray,
-        best_prev: np.ndarray,
-    ) -> list[Segment]:
-        segments: list[Segment] = []
-        t = n - 1
-        state = int(np.argmax(delta[t]))
-        while t >= 0:
-            d = int(best_dur[t, state])
-            if d <= 0:
-                raise ModelError("Viterbi backtrack failed (zero duration)")
-            segments.append(Segment(state=state, start=t - d + 1, end=t))
-            prev = int(best_prev[t, state])
-            t -= d
-            state = prev
-        segments.reverse()
-        return segments
+        return _viterbi_backtrack(delta[-1], best_dur, entry_arg)
 
     # ------------------------------------------------------------------
     # Training (segmental hard-EM)
@@ -587,7 +614,6 @@ class HiddenSemiMarkovModel:
         n_restarts: int = 1,
         restart_rng: np.random.Generator | None = None,
         algorithm: str = "hard",
-        n_jobs: int = 1,
     ) -> list[float]:
         """Train the model; returns the per-iteration score trace.
 
@@ -596,14 +622,9 @@ class HiddenSemiMarkovModel:
         ``algorithm="soft"`` runs full Baum-Welch over segment posteriors
         (the trace is the true total log-likelihood, non-decreasing).
         Both converge to local optima, so ``n_restarts > 1`` re-randomizes
-        the parameters and keeps the best-scoring solution.
-
-        ``n_jobs > 1`` runs the restarts in parallel worker processes.
-        Restart randomization then comes from per-restart seeds drawn
-        up-front from ``restart_rng`` (deterministic for a fixed rng, but
-        a different stream than the serial path); if the model cannot be
-        shipped to workers (e.g. a lambda duration factory), the restarts
-        silently run serially with the same seeds.
+        the parameters and keeps the best-scoring solution.  Every restart
+        draws its randomization from the one ``restart_rng`` stream, in
+        order, so a fixed rng always picks the same winner.
         """
         if algorithm not in ("hard", "soft"):
             raise ModelError(f"unknown algorithm {algorithm!r}")
@@ -611,11 +632,6 @@ class HiddenSemiMarkovModel:
             raise ModelError("n_restarts must be >= 1")
         if n_restarts > 1:
             rng = ensure_rng(restart_rng, default_seed=0)
-            if n_jobs > 1:
-                return self._fit_restarts_parallel(
-                    sequences, max_iter, tol, pseudocount, n_restarts,
-                    rng, algorithm, n_jobs,
-                )
             best_score = -np.inf
             best_state: tuple | None = None
             best_trace: list[float] = []
@@ -647,50 +663,6 @@ class HiddenSemiMarkovModel:
             return self._fit_soft(observations, max_iter, tol, pseudocount)
         return self._fit_hard(observations, max_iter, tol, pseudocount)
 
-    def _fit_restarts_parallel(
-        self,
-        sequences: Sequence[Sequence[int]],
-        max_iter: int,
-        tol: float,
-        pseudocount: float,
-        n_restarts: int,
-        rng: np.random.Generator,
-        algorithm: str,
-        n_jobs: int,
-    ) -> list[float]:
-        observations = [self._check_sequence(seq) for seq in sequences]
-        if not observations:
-            raise ModelError("need at least one training sequence")
-        seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=n_restarts)]
-        fit_kwargs = {
-            "max_iter": max_iter,
-            "tol": tol,
-            "pseudocount": pseudocount,
-            "algorithm": algorithm,
-        }
-        results: list[tuple[list[float], tuple]] = []
-        try:
-            payloads = [
-                (self.clone(), observations, fit_kwargs, seed) for seed in seeds
-            ]
-            with ProcessPoolExecutor(
-                max_workers=min(n_jobs, n_restarts)
-            ) as pool:
-                results = list(pool.map(_restart_worker, payloads))
-        except Exception:
-            # Unpicklable model or no process pool available: same seeds,
-            # serial execution.
-            results = []
-            for seed in seeds:
-                worker_model = self.clone()
-                results.append(
-                    _restart_worker((worker_model, observations, fit_kwargs, seed))
-                )
-        best_trace, best_state = max(results, key=lambda item: item[0][-1])
-        self.initial, self.transition, self.emission, self.durations = best_state
-        self._fitted = True
-        return best_trace
-
     def _fit_hard(
         self,
         observations: list[np.ndarray],
@@ -705,9 +677,10 @@ class HiddenSemiMarkovModel:
             emit_acc = np.zeros((self.n_states, self.n_symbols))
             dur_acc = np.zeros((self.n_states, self.max_duration))
             total_score = 0.0
-            for obs in observations:
-                segments = self.viterbi(obs)
-                total_score += self._segmentation_score(obs, segments)
+            params = self._log_params()
+            segmentations = self._segmentations(observations, params)
+            for obs, segments in zip(observations, segmentations, strict=True):
+                total_score += self._segmentation_score(obs, segments, params)
                 init_acc[segments[0].state] += 1.0
                 for prev, cur in zip(segments, segments[1:], strict=False):
                     trans_acc[prev.state, cur.state] += 1.0
@@ -919,8 +892,15 @@ class HiddenSemiMarkovModel:
             self._duration_factory(self.max_duration) for _ in range(self.n_states)
         ]
 
-    def _segmentation_score(self, obs: np.ndarray, segments: list[Segment]) -> float:
-        log_pi, log_a, log_b, log_d = self._log_params()
+    def _segmentation_score(
+        self,
+        obs: np.ndarray,
+        segments: list[Segment],
+        params: LogParams | None = None,
+    ) -> float:
+        if params is None:
+            params = self._log_params()
+        log_pi, log_a, log_b, log_d = params
         score = log_pi[segments[0].state]
         for prev, cur in zip(segments, segments[1:], strict=False):
             score += log_a[prev.state, cur.state]

@@ -47,7 +47,6 @@ class HSMMPredictor(EventPredictor):
         seed: int = 0,
         algorithm: str = "hard",
         strategy: str = "vectorized",
-        n_jobs: int = 1,
         telemetry: TelemetryHub = NULL_HUB,
     ) -> None:
         super().__init__()
@@ -57,8 +56,6 @@ class HSMMPredictor(EventPredictor):
             raise ConfigurationError(f"unknown training algorithm {algorithm!r}")
         if strategy not in ("vectorized", "reference"):
             raise ConfigurationError(f"unknown inference strategy {strategy!r}")
-        if n_jobs < 1:
-            raise ConfigurationError("n_jobs must be >= 1")
         self.n_states_failure = n_states_failure
         self.n_states_nonfailure = n_states_nonfailure
         self.max_duration = max_duration
@@ -68,7 +65,6 @@ class HSMMPredictor(EventPredictor):
         self.seed = seed
         self.algorithm = algorithm
         self.strategy = strategy
-        self.n_jobs = n_jobs
         #: Profiling hub: scoring runs inside ``hsmm.score`` /
         #: ``hsmm.score_batch`` spans so the wall-vs-sim profile keeps the
         #: vectorized hot path measurable in-situ.  Assignable after
@@ -108,13 +104,11 @@ class HSMMPredictor(EventPredictor):
             self.encoder.encode_many(failure_sequences),
             max_iter=self.max_iter,
             algorithm=self.algorithm,
-            n_jobs=self.n_jobs,
         )
         self.nonfailure_model.fit(
             self.encoder.encode_many(nonfailure_sequences),
             max_iter=self.max_iter,
             algorithm=self.algorithm,
-            n_jobs=self.n_jobs,
         )
         n_f, n_n = len(failure_sequences), len(nonfailure_sequences)
         self.log_prior_ratio = math.log(n_f / (n_f + n_n)) - math.log(
@@ -141,10 +135,11 @@ class HSMMPredictor(EventPredictor):
     def score_sequences(self, sequences: list[EventSequence]) -> np.ndarray:
         """Batched scores: encode once, score both models over the batch.
 
-        The batch path shares one log-parameter build per model across all
-        sequences (and can fan out across worker processes when the
-        predictor was built with ``n_jobs > 1``), which is what the online
-        scorer and the evaluation harness call in their hot loops.
+        Each model scores the whole batch in one padded forward pass (one
+        log-parameter build, one step per time slot for all sequences), so
+        a batch costs far less than a loop of :meth:`score_sequence` calls
+        and returns the same scores.  The online scorer and the evaluation
+        harness call this in their hot loops.
         """
         self._require_fitted()
         if not sequences:
@@ -153,12 +148,8 @@ class HSMMPredictor(EventPredictor):
             "hsmm.score_batch", sequences=len(sequences), strategy=self.strategy
         ):
             encoded = self.encoder.encode_many(sequences)
-            ll_failure = self.failure_model.log_likelihood_batch(
-                encoded, n_jobs=self.n_jobs
-            )
-            ll_nonfailure = self.nonfailure_model.log_likelihood_batch(
-                encoded, n_jobs=self.n_jobs
-            )
+            ll_failure = self.failure_model.log_likelihood_batch(encoded)
+            ll_nonfailure = self.nonfailure_model.log_likelihood_batch(encoded)
             lengths = np.array([len(symbols) for symbols in encoded], dtype=float)
             return (ll_failure - ll_nonfailure) / lengths + self.log_prior_ratio
 
@@ -188,8 +179,8 @@ def hmm_ablation_predictor(
         n_states_failure=n_states_failure,
         n_states_nonfailure=n_states_nonfailure,
         max_duration=8,
-        # functools.partial (not a lambda) keeps the models picklable for
-        # process-parallel scoring and restarts.
+        # functools.partial (not a lambda) keeps the predictor picklable, so
+        # the fleet's artifact store can persist it and ship it to workers.
         duration_factory=functools.partial(GeometricDuration, p=0.5),
         max_iter=max_iter,
         seed=seed,

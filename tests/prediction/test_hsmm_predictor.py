@@ -166,10 +166,6 @@ class TestBatchScoring:
         with pytest.raises(ConfigurationError):
             HSMMPredictor(strategy="magic")
 
-    def test_zero_jobs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            HSMMPredictor(n_jobs=0)
-
     def test_ablation_predictor_models_are_picklable(self, sequence_data):
         import pickle
 

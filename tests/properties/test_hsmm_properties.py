@@ -89,3 +89,74 @@ class TestHSMMProperties:
         assert len(observations) == length
         # Generated observations are scoreable.
         assert np.isfinite(model.log_likelihood(observations))
+
+
+MAX_DURATION = 4
+N_SYMBOLS = 3
+
+
+@st.composite
+def ragged_batches(draw):
+    """Batches of the shapes the padded kernels must handle exactly.
+
+    Each sequence is one of: a single symbol (an empty error window
+    encodes to one GAP symbol), shorter than ``max_duration``, or longer.
+    Some sequences are repeated, and a batch may hold just one.
+    """
+    symbol = st.integers(0, N_SYMBOLS - 1)
+    sequence = st.one_of(
+        st.lists(symbol, min_size=1, max_size=1),
+        st.lists(symbol, min_size=2, max_size=MAX_DURATION - 1),
+        st.lists(symbol, min_size=MAX_DURATION, max_size=3 * MAX_DURATION),
+    )
+    batch = draw(st.lists(sequence, min_size=1, max_size=6))
+    repeats = draw(st.lists(st.integers(0, len(batch) - 1), max_size=3))
+    return draw(st.permutations(batch + [batch[i] for i in repeats]))
+
+
+def randomized_model(n_states, seed):
+    """A model with randomized transitions, emissions and durations."""
+    rng = np.random.default_rng(seed)
+    model = HiddenSemiMarkovModel(
+        n_states, N_SYMBOLS, max_duration=MAX_DURATION, rng=rng
+    )
+    model._randomize(rng)
+    for dist in model.durations:
+        dist.fit(rng.random(MAX_DURATION) + 0.05)
+    return model
+
+
+def reference_twin(model):
+    twin = model.clone()
+    twin.strategy = "reference"
+    return twin
+
+
+class TestRaggedBatchProperties:
+    @given(ragged_batches(), st.integers(1, 4), st.integers(0, 2**31 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_scores_equal_single_scores_exactly(self, batch, n_states, seed):
+        model = randomized_model(n_states, seed)
+        scores = model.log_likelihood_batch(batch)
+        singles = [model.log_likelihood(sequence) for sequence in batch]
+        assert np.array_equal(scores, singles)
+
+    @given(ragged_batches(), st.integers(1, 4), st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_batch_scores_match_reference(self, batch, n_states, seed):
+        model = randomized_model(n_states, seed)
+        np.testing.assert_allclose(
+            model.log_likelihood_batch(batch),
+            reference_twin(model).log_likelihood_batch(batch),
+            rtol=0,
+            atol=1e-8,
+        )
+
+    @given(ragged_batches(), st.integers(1, 4), st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_batched_viterbi_matches_reference(self, batch, n_states, seed):
+        model = randomized_model(n_states, seed)
+        observations = [np.asarray(sequence) for sequence in batch]
+        batched = model._segmentations(observations, model._log_params())
+        ref = reference_twin(model)
+        assert batched == [ref.viterbi(sequence) for sequence in batch]
