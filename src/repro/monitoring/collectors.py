@@ -67,13 +67,21 @@ class PeriodicCollector:
         self.interval = interval
         self.samples_taken = 0
         self._running = False
+        # Each start() opens a new generation; a loop whose generation is
+        # stale exits, so stop() then start() never leaves two loops.
+        self._generation = 0
+        # The gauges (and store) the probes below were resolved for.
+        self._probed: tuple[TimeSeriesStore, list[Gauge]] | None = None
+        self._reads: list[tuple[str, Callable[[], float]]] = []
+        self._appends: list[Callable[[float, float], None]] = []
 
     def start(self) -> None:
         """Launch the sampling process (idempotent)."""
         if self._running:
             return
         self._running = True
-        self.engine.process(self._run(), name="collector")
+        self._generation += 1
+        self.engine.process(self._run(self._generation), name="collector")
 
     def stop(self) -> None:
         self._running = False
@@ -88,14 +96,29 @@ class PeriodicCollector:
             raise ConfigurationError("sampling interval must be positive")
         self.interval = interval
 
+    def _resolve_probes(self) -> None:
+        """Bind each gauge's read and each variable's series append."""
+        store, gauges = self.store, list(self.gauges)
+        self._reads = [(gauge.variable, gauge.read) for gauge in gauges]
+        variables = dict.fromkeys(variable for variable, _ in self._reads)
+        self._appends = [store.series(variable).append for variable in variables]
+        self._probed = (store, gauges)
+
     def sample_once(self) -> dict[str, float]:
         """Take one sample of every gauge right now."""
-        values = {gauge.variable: float(gauge.read()) for gauge in self.gauges}
-        self.store.record_many(self.engine.now, values)
+        probed = self._probed
+        if probed is None or probed[0] is not self.store or probed[1] != self.gauges:
+            self._resolve_probes()
+        # Read every gauge before appending any value, so a gauge that
+        # raises records nothing for this sample.
+        values = {variable: float(read()) for variable, read in self._reads}
+        now = self.engine.now
+        for append, value in zip(self._appends, values.values(), strict=True):
+            append(now, value)
         self.samples_taken += 1
         return values
 
-    def _run(self):
-        while self._running:
+    def _run(self, generation: int):
+        while self._running and generation == self._generation:
             self.sample_once()
             yield Timeout(self.interval)

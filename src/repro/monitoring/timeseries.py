@@ -24,11 +24,12 @@ class TimeSeries:
         self._values: list[float] = []
 
     def append(self, time: float, value: float) -> None:
-        if self._times and time < self._times[-1]:
+        times = self._times
+        if times and time < times[-1]:
             raise ConfigurationError(
-                f"samples must arrive in time order ({time} < {self._times[-1]})"
+                f"samples must arrive in time order ({time} < {times[-1]})"
             )
-        self._times.append(float(time))
+        times.append(float(time))
         self._values.append(float(value))
 
     def __len__(self) -> int:

@@ -27,7 +27,9 @@ class Engine:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: list[Event] = []
+        # Heap of ``(time, priority, seq, event)``: tuples compare in C and
+        # ``seq`` is unique, so the event itself is never compared.
+        self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._running = False
         self.processed_events = 0
@@ -57,9 +59,10 @@ class Engine:
             raise SimulationError(
                 f"cannot schedule into the past (time={time}, now={self._now})"
             )
-        event = Event(time=time, priority=priority, seq=self._seq, callback=callback)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time=time, priority=priority, seq=seq, callback=callback)
+        heapq.heappush(self._queue, (time, priority, seq, event))
         return event
 
     def process(self, generator: Generator, name: str = "") -> Process:
@@ -75,10 +78,10 @@ class Engine:
     def step(self) -> bool:
         """Process the next event; returns False when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            time, _, _, event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = time
             self.processed_events += 1
             event.callback()
             return True
@@ -99,11 +102,11 @@ class Engine:
             while self._queue:
                 if max_events is not None and fired >= max_events:
                     break
-                head = self._queue[0]
+                time, _, _, head = self._queue[0]
                 if head.cancelled:
                     heapq.heappop(self._queue)
                     continue
-                if until is not None and head.time > until:
+                if until is not None and time > until:
                     self._now = until
                     break
                 if not self.step():

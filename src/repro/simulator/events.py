@@ -6,8 +6,9 @@ Three things can sit in a process's ``yield``:
 - :class:`Signal` -- resume when another process triggers the signal,
 - a resource request (see :mod:`repro.simulator.resources`).
 
-:class:`Event` is the internal queue entry; user code rarely constructs it
-directly (use :meth:`Engine.schedule`).
+:class:`Event` is the handle :meth:`Engine.schedule` returns (the engine
+queues it as ``(time, priority, seq, event)``); user code rarely
+constructs it directly.
 """
 
 from __future__ import annotations

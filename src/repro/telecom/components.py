@@ -166,24 +166,30 @@ class Component:
     # Derived state
     # ------------------------------------------------------------------
 
+    # The derived values below read attributes directly rather than each
+    # other: ``stretch_factor`` runs for every component on every tick.
+
     @property
     def memory_used_mb(self) -> float:
         return self.baseline_memory_mb + self.leaked_mb
 
     @property
     def memory_free_mb(self) -> float:
-        return self.memory_mb - self.memory_used_mb
+        return self.memory_mb - (self.baseline_memory_mb + self.leaked_mb)
 
     @property
     def free_fraction(self) -> float:
-        return self.memory_free_mb / self.memory_mb
+        free = self.memory_mb - (self.baseline_memory_mb + self.leaked_mb)
+        return free / self.memory_mb
 
     @property
     def swap_activity(self) -> float:
         """0 while memory is ample, ramps up as free memory vanishes."""
-        if self.free_fraction >= SWAP_THRESHOLD:
+        free = self.memory_mb - (self.baseline_memory_mb + self.leaked_mb)
+        free_fraction = free / self.memory_mb
+        if free_fraction >= SWAP_THRESHOLD:
             return 0.0
-        return (SWAP_THRESHOLD - self.free_fraction) / SWAP_THRESHOLD
+        return (SWAP_THRESHOLD - free_fraction) / SWAP_THRESHOLD
 
     @property
     def effective_capacity(self) -> float:
@@ -205,11 +211,27 @@ class Component:
         if dt <= 0:
             raise ConfigurationError("dt must be positive")
         arrival_rate = offered_demand / dt + self.background_load
-        rho = arrival_rate * self.service_time / self.effective_capacity
-        self.utilization = float(min(rho, 1.5))
-        rho = min(rho, MAX_UTILIZATION)
+        # The comparisons below are ``min``/``max`` spelled out, NaN
+        # included: ``min(a, b)`` is ``b if b < a else a``.
+        if self.restarting_until is not None:
+            capacity = 1e-6
+        else:
+            capacity = self.capacity * (1.0 - self.degraded_fraction)
+            if 1e-6 > capacity:
+                capacity = 1e-6
+        rho = arrival_rate * self.service_time / capacity
+        self.utilization = float(1.5 if 1.5 < rho else rho)
+        if MAX_UTILIZATION < rho:
+            rho = MAX_UTILIZATION
         queueing = 1.0 / (1.0 - rho)
-        swapping = 1.0 + SWAP_PENALTY * self.swap_activity
+        free = self.memory_mb - (self.baseline_memory_mb + self.leaked_mb)
+        free_fraction = free / self.memory_mb
+        if free_fraction >= SWAP_THRESHOLD:
+            swapping = 1.0
+        else:
+            swapping = 1.0 + SWAP_PENALTY * (
+                (SWAP_THRESHOLD - free_fraction) / SWAP_THRESHOLD
+            )
         retries = 1.0 + 0.8 * self.corruption
         self.last_stretch = float(queueing * swapping * retries)
         return self.last_stretch

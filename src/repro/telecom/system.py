@@ -128,8 +128,12 @@ class SCPSystem:
             self.config.db_service,
             self.config.db_memory,
         )
+        self._frontends = tuple(self.frontends[p] for p in Protocol)
+        self._components = (*self._frontends, *self.containers, self.database)
         # Load-balancer weights over containers (normalized on use).
         self.weights: dict[str, float] = {c.name: 1.0 for c in self.containers}
+        # (up containers, their raw weights, normalized array, as list).
+        self._weight_cache: tuple[list, list, np.ndarray, list[float]] | None = None
         # Admission control: fraction of arrivals accepted.
         self.admission_fraction = 1.0
 
@@ -186,7 +190,7 @@ class SCPSystem:
             yield Timeout(self.config.tick)
 
     def all_components(self) -> list[Component]:
-        return [*self.frontends.values(), *self.containers, self.database]
+        return list(self._components)
 
     def component(self, name: str) -> Component:
         for candidate in self.all_components():
@@ -199,16 +203,24 @@ class SCPSystem:
     # ------------------------------------------------------------------
 
     def _do_tick(self) -> None:
+        # Must stay bit-identical to the reference tick the tests keep
+        # (tests/telecom/tick_reference.py): the same RNG draws and float
+        # operations in the same order -- ``math``, not numpy ufuncs, and
+        # builtin ``sum()``, which is compensated on Python 3.12.
         now = self.engine.now
-        dt = self.config.tick
-        for component in self.all_components():
-            component.finish_restart_if_due(now)
+        config = self.config
+        dt = config.tick
+        rng = self._rt_rng
+        for component in self._components:
+            if component.restarting_until is not None:
+                component.finish_restart_if_due(now)
 
-        counts = self.workload.arrivals(now, dt)
-        total = sum(counts.values())
+        workload = self.workload
+        counts = workload.arrival_counts(now, dt)
+        total = sum(counts)
         admitted = total
         if self.admission_fraction < 1.0 and total > 0:
-            admitted = int(self._rt_rng.binomial(total, self.admission_fraction))
+            admitted = int(rng.binomial(total, self.admission_fraction))
             self.rejected_requests += total - admitted
         self.last_request_rate = admitted / dt
 
@@ -219,62 +231,63 @@ class SCPSystem:
 
         # Frontend tier: protocol split drives each frontend's stretch.
         scale = admitted / total
-        protocol_counts = {
-            p: int(round(n * scale))
-            for p, n in self.workload.protocol_split(counts).items()
-        }
+        protocol_counts = [round(n * scale) for n in workload.protocol_counts(counts)]
+        frontend_total = max(sum(protocol_counts), 1)
         frontend_time = 0.0
-        for protocol, n in protocol_counts.items():
-            frontend = self.frontends[protocol]
+        for frontend, n in zip(self._frontends, protocol_counts, strict=True):
             stretch = frontend.stretch_factor(n, dt)
-            share = n / max(sum(protocol_counts.values()), 1)
-            frontend_time += share * frontend.service_time * stretch
+            frontend_time += n / frontend_total * frontend.service_time * stretch
 
         # Database tier (shared).
-        db_demand = admitted * self.config.db_visit_prob
-        db_stretch = self.database.stretch_factor(db_demand, dt)
-        db_time = self.config.db_visit_prob * self.database.service_time * db_stretch
+        database = self.database
+        db_visit_prob = config.db_visit_prob
+        db_stretch = database.stretch_factor(admitted * db_visit_prob, dt)
+        db_time = db_visit_prob * database.service_time * db_stretch
 
         # Container tier: split admitted demand by load-balancer weights
         # over components that are actually up.
-        demand = self.workload.demand(counts) * scale
+        demand = workload.demand_of(counts) * scale
         up = [c for c in self.containers if c.restarting_until is None]
         violations = 0
         mean_rt_acc = 0.0
         if not up:
             # Whole service-logic tier down: every request fails its deadline.
             violations = admitted
-            mean_rt_acc = self.config.deadline * 4
+            mean_rt_acc = config.deadline * 4
             self.last_violation_prob = 1.0
         else:
-            weights = np.array([max(self.weights[c.name], 0.0) for c in up])
-            if weights.sum() <= 0:
-                weights = np.ones(len(up))
-            weights = weights / weights.sum()
-            request_split = self._rt_rng.multinomial(admitted, weights)
+            weights, weight_list = self._normalized_weights(up)
+            request_split = rng.multinomial(admitted, weights).tolist()
+            log_deadline = math.log(config.deadline)
+            rt_sigma = config.rt_sigma
+            sqrt2 = math.sqrt(2.0)
             prob_acc = 0.0
             for component, n_requests, weight in zip(
-                up, request_split, weights, strict=True
+                up, request_split, weight_list, strict=True
             ):
                 stretch = component.stretch_factor(demand * weight, dt)
-                mean_rt = (
-                    frontend_time + component.service_time * stretch + db_time
-                )
-                p_violate = self._violation_probability(mean_rt)
+                mean_rt = frontend_time + component.service_time * stretch + db_time
+                # P(RT > deadline) for a log-normal RT around ``mean_rt``:
+                # the survival function of the standard normal.
+                if mean_rt <= 0:
+                    p_violate = 0.0
+                else:
+                    z = (log_deadline - math.log(mean_rt)) / rt_sigma
+                    p_violate = 0.5 * math.erfc(z / sqrt2)
                 if n_requests > 0:
-                    violations += int(self._rt_rng.binomial(n_requests, p_violate))
+                    violations += int(rng.binomial(n_requests, p_violate))
                 mean_rt_acc += weight * mean_rt
                 prob_acc += weight * p_violate
             self.last_violation_prob = prob_acc
         self.last_mean_rt = mean_rt_acc
 
         # A timing check on observed latency reports detected errors.
-        if self.last_violation_prob > 5e-5 and self._rt_rng.random() < min(
+        if self.last_violation_prob > 5e-5 and rng.random() < min(
             800 * self.last_violation_prob, 0.5
         ):
             worst = max(self.containers, key=lambda c: c.last_stretch)
             record = self._timing_check.check(
-                now, self.last_mean_rt * math.exp(self._rt_rng.normal(0.3, 0.2))
+                now, self.last_mean_rt * math.exp(rng.normal(0.3, 0.2))
             )
             if record is not None:
                 worst.emit_error(record.message_id, None, severity=2)
@@ -282,13 +295,22 @@ class SCPSystem:
         self.sla.record_batch(now, admitted, violations)
         self.ticks_run += 1
 
-    def _violation_probability(self, mean_rt: float) -> float:
-        """P(RT > deadline) for a log-normal RT around ``mean_rt``."""
-        if mean_rt <= 0:
-            return 0.0
-        z = (math.log(self.config.deadline) - math.log(mean_rt)) / self.config.rt_sigma
-        # Survival function of the standard normal.
-        return 0.5 * math.erfc(z / math.sqrt(2.0))
+    def _normalized_weights(
+        self, up: list[Component]
+    ) -> tuple[np.ndarray, list[float]]:
+        """Load-balancer weights over ``up``, normalized to sum to 1.
+
+        Recomputed only when the up set or one of its weights changed.
+        """
+        raw = [self.weights[c.name] for c in up]
+        cached = self._weight_cache
+        if cached is None or cached[0] != up or cached[1] != raw:
+            weights = np.array([max(w, 0.0) for w in raw])
+            if weights.sum() <= 0:
+                weights = np.ones(len(up))
+            weights = weights / weights.sum()
+            cached = self._weight_cache = (up, raw, weights, weights.tolist())
+        return cached[2], cached[3]
 
     # ------------------------------------------------------------------
     # Monitoring surface

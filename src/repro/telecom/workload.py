@@ -44,6 +44,9 @@ SERVICE_PROTOCOL = {
     ServiceType.GPRS: Protocol.RADIUS,
 }
 
+#: Position of :attr:`Protocol.IP` in :class:`Protocol` order.
+_IP = list(Protocol).index(Protocol.IP)
+
 #: Relative processing demand per service type (MOC is heaviest).
 SERVICE_DEMAND = {
     ServiceType.MOC: 1.0,
@@ -96,11 +99,25 @@ class WorkloadConfig:
 
 
 class WorkloadModel:
-    """Generates per-tick arrival counts from a :class:`WorkloadConfig`."""
+    """Generates per-tick arrival counts from a :class:`WorkloadConfig`.
+
+    The per-tick path works on plain lists: :meth:`arrival_counts` gives
+    one count per service type in ``config.mix`` order, and
+    :meth:`demand_of` / :meth:`protocol_counts` take such a list.  The
+    service-keyed :meth:`arrivals`, :meth:`demand` and
+    :meth:`protocol_split` are views over it; they read the services of
+    the mix, in mix order, and count an absent service as zero.
+    """
 
     def __init__(self, config: WorkloadConfig, rng: np.random.Generator) -> None:
         self.config = config
         self.rng = rng
+        self._services = tuple(config.mix)
+        self._fractions = tuple(config.mix.values())
+        self._demands = tuple(SERVICE_DEMAND[s] for s in self._services)
+        self._protocol_index = tuple(
+            list(Protocol).index(SERVICE_PROTOCOL[s]) for s in self._services
+        )
 
     def rate_at(self, time: float) -> float:
         """Instantaneous total arrival rate (requests/second) at ``time``."""
@@ -111,26 +128,39 @@ class WorkloadModel:
         weekly = self.config.weekend_factor if day_of_week >= 5 else 1.0
         return self.config.base_rate * diurnal * weekly
 
+    def arrival_counts(self, time: float, dt: float) -> list[int]:
+        """Poisson arrival counts over ``[time, time+dt)``, in mix order."""
+        expected_total = self.rate_at(time + dt / 2.0) * dt
+        poisson = self.rng.poisson
+        return [int(poisson(expected_total * f)) for f in self._fractions]
+
+    def demand_of(self, counts: list[int]) -> float:
+        """Total processing demand of mix-ordered counts (request-equivalents)."""
+        return sum([d * n for d, n in zip(self._demands, counts, strict=True)])
+
+    def protocol_counts(self, counts: list[int]) -> list[int]:
+        """Arrival counts per ingress protocol, in :class:`Protocol` order."""
+        split = [0] * len(Protocol)
+        for index, n in zip(self._protocol_index, counts, strict=True):
+            split[index] += n
+        # A slice of all traffic arrives over plain IP management interfaces.
+        split[_IP] += int(0.1 * sum(counts))
+        return split
+
+    def _in_mix_order(self, counts: dict[ServiceType, int]) -> list[int]:
+        return [counts.get(service, 0) for service in self._services]
+
     def arrivals(self, time: float, dt: float) -> dict[ServiceType, int]:
         """Poisson arrival counts per service type over ``[time, time+dt)``."""
-        expected_total = self.rate_at(time + dt / 2.0) * dt
-        counts: dict[ServiceType, int] = {}
-        for service, fraction in self.config.mix.items():
-            counts[service] = int(self.rng.poisson(expected_total * fraction))
-        return counts
+        return dict(zip(self._services, self.arrival_counts(time, dt), strict=True))
 
     def demand(self, counts: dict[ServiceType, int]) -> float:
         """Total processing demand of an arrival batch (request-equivalents)."""
-        return sum(SERVICE_DEMAND[svc] * n for svc, n in counts.items())
+        return self.demand_of(self._in_mix_order(counts))
 
     def protocol_split(
         self, counts: dict[ServiceType, int]
     ) -> dict[Protocol, int]:
         """Arrival counts per ingress protocol."""
-        split: dict[Protocol, int] = {p: 0 for p in Protocol}
-        for service, n in counts.items():
-            split[SERVICE_PROTOCOL[service]] += n
-        # A slice of all traffic arrives over plain IP management interfaces.
-        ip_share = int(0.1 * sum(counts.values()))
-        split[Protocol.IP] += ip_share
-        return split
+        split = self.protocol_counts(self._in_mix_order(counts))
+        return dict(zip(Protocol, split, strict=True))

@@ -60,6 +60,21 @@ class TestPeriodicCollector:
         with pytest.raises(ConfigurationError):
             collector.set_interval(-1.0)
 
+    def test_stop_then_start_keeps_one_loop(self):
+        engine, store, _, collector = self.make(interval=10.0)
+        collector.start()
+
+        def restart():
+            collector.stop()
+            collector.start()
+
+        engine.schedule(25.0, restart)
+        engine.run(until=100.0)
+        times = store.series("x").times.tolist()
+        # 0, 10, 20, then the new loop alone: 25, 35, ..., 95.
+        assert times == [0.0, 10.0, 20.0, *range(25, 100, 10)]
+        assert collector.samples_taken == 11
+
     def test_start_idempotent(self):
         engine, store, _, collector = self.make(interval=10.0)
         collector.start()
