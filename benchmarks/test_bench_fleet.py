@@ -29,8 +29,8 @@ than serial).
 
 The grid pins ``train_seed`` and sweeps the master seed, so every shard
 replays its own evaluation faultload against one shared training
-configuration — the multi-seed design :func:`replicate_closed_loop`
-used to run serially, now sharded.
+configuration: one predictor, several faultloads, which separates
+predictor luck from faultload luck.
 
 Shard and worker counts are env-tunable so the CI smoke job can run a
 small grid: ``FLEET_BENCH_SHARDS`` (default 16), ``FLEET_BENCH_WORKERS``

@@ -3,9 +3,10 @@
 Two records, each written as its own section of ``BENCH_hsmm_speed.json``
 next to this file so the speedups are kept as a build artifact:
 
-- vectorized vs reference loops: soft-EM training and batch scoring on the
-  acceptance configuration (T=200 observations, N=4 states, D=10 max
-  duration), asserting the vectorized hot path is at least 5x faster;
+- vectorized vs reference loops (``tests/markov/hsmm_reference.py``):
+  soft-EM training and batch scoring on the acceptance configuration
+  (T=200 observations, N=4 states, D=10 max duration), asserting the
+  vectorized hot path is at least 5x faster;
 - ``cross_sequence``: one padded ``log_likelihood_batch`` call against a
   loop of single-sequence ``log_likelihood`` calls, in the Noisy-OR
   panel's shape (6- and 4-state models, D=8, about 300 sequences of 50-90
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.markov import HiddenSemiMarkovModel
+from tests.markov.hsmm_reference import ReferenceHSMM, reference_twin
 
 SEQ_LEN = 200
 N_STATES = 4
@@ -72,13 +74,12 @@ def _material():
     return [generator.sample(SEQ_LEN, rng)[1] for _ in range(N_SEQUENCES)]
 
 
-def _fresh(strategy):
-    return HiddenSemiMarkovModel(
+def _fresh(model_class):
+    return model_class(
         N_STATES,
         N_SYMBOLS,
         max_duration=MAX_DURATION,
         rng=np.random.default_rng(0),
-        strategy=strategy,
     )
 
 
@@ -92,17 +93,17 @@ def _timed(fn):
 def test_bench_hsmm_vectorized_speedup(benchmark):
     sequences = _material()
 
-    def train(strategy):
-        model = _fresh(strategy)
+    def train(model_class):
+        model = _fresh(model_class)
         trace = model.fit(
             sequences, max_iter=EM_ITERATIONS, tol=0.0, algorithm="soft"
         )
         return model, trace
 
-    ref_train_s, (ref_model, ref_trace) = _timed(lambda: train("reference"))
+    ref_train_s, (ref_model, ref_trace) = _timed(lambda: train(ReferenceHSMM))
     vec_train_s, (vec_model, vec_trace) = _timed(
         lambda: benchmark.pedantic(
-            lambda: train("vectorized"), rounds=1, iterations=1
+            lambda: train(HiddenSemiMarkovModel), rounds=1, iterations=1
         )
     )
     np.testing.assert_allclose(vec_trace, ref_trace, atol=1e-8)
@@ -190,8 +191,7 @@ def test_bench_hsmm_cross_sequence_batch():
         # The padded pass gives every sequence the same operations as
         # scoring it alone: the scores are equal, not merely close.
         assert np.array_equal(batch, loop)
-        reference = model.clone()
-        reference.strategy = "reference"
+        reference = reference_twin(model)
         ref_ll = reference.log_likelihood_batch(sequences[:PANEL_REFERENCE_SEQUENCES])
         ref_diff = float(np.max(np.abs(batch[:PANEL_REFERENCE_SEQUENCES] - ref_ll)))
         assert ref_diff <= 1e-8

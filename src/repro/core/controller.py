@@ -167,7 +167,7 @@ class PFMController:
         ):
             self.event_scorer.predictor.telemetry = self.telemetry
         # A fused panel (Noisy-OR arbitrator) may sit behind wrapper
-        # layers (fault-injection proxies, adapters); find the innermost
+        # layers (fault-injection proxies); find the innermost
         # object that owns the arbitration seams and wire them up.  The
         # walk uses each object's own __dict__ so delegating __getattr__
         # proxies are traversed rather than mistaken for the arbitrator.

@@ -29,7 +29,6 @@ PFM011    sim-time taint: sim-scoped functions transitively reaching
 PFM012    transitive unseeded-RNG reachability through helpers
 PFM013    unpicklable values flowing into process-pool seams through
           intermediate assignments
-PFM014    internal use of deprecation-shimmed legacy predictor forms
 ========  ==========================================================
 
 Runs are incremental (content-addressed per-file cache) and can fan the

@@ -1,8 +1,8 @@
 """Content-addressed per-file analysis cache (the warm-lint fast path).
 
 Same shape as :mod:`repro.fleet.artifacts`: entries are addressed by
-content digest, written atomically (temp file + ``os.replace``), and a
-corrupt or torn entry is treated as a miss -- the worst case is
+content digest, published with :func:`repro.atomicfile.write_atomic`,
+and a corrupt or torn entry is treated as a miss -- the worst case is
 re-analyzing one file, never a wrong report.
 
 An entry's key is ``sha256(path, source)`` x the **engine signature**
@@ -23,11 +23,12 @@ cheap part of a run.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
-import tempfile
 
+from repro.atomicfile import write_atomic
 from repro.devtools.lint.findings import Finding
 
 #: Default cache directory, resolved against the working directory.
@@ -99,22 +100,13 @@ class LintCache:
         return entry
 
     def save(self, src_sha: str, signature: str, entry: dict) -> None:
-        """Atomically publish one entry; failures are non-fatal."""
-        os.makedirs(self.root, exist_ok=True)
-        entry = dict(entry)
-        entry["cache_version"] = CACHE_VERSION
-        path = self.entry_path(src_sha, signature)
-        fd, tmp_path = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle, sort_keys=True)
-            os.replace(tmp_path, path)
-        except OSError:
-            # Best-effort cache: an unwritable entry only costs warmth.
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
+        """Atomically publish one entry; an unwritable cache is non-fatal."""
+        data = json.dumps(
+            {**entry, "cache_version": CACHE_VERSION}, sort_keys=True
+        ).encode("utf-8")
+        # Best-effort cache: an unwritable entry only costs warmth.
+        with contextlib.suppress(OSError):
+            write_atomic(self.entry_path(src_sha, signature), data)
 
 
 def findings_to_entry(findings: list[Finding]) -> list[dict]:

@@ -22,7 +22,7 @@ Since the inter-procedural rewrite the engine runs in two phases:
    byte-identical to serial ones.
 2. **Project phase** -- assemble every summary into a
    :class:`~repro.devtools.lint.project.ProjectModel`, attach the layer
-   contract, and run the project rules (PFM010--PFM014).  This phase is
+   contract, and run the project rules (PFM010--PFM013).  This phase is
    cheap and always runs fresh; it is what a warm ``--changed-only`` run
    spends its time on.
 
@@ -41,7 +41,7 @@ import re
 import subprocess
 from dataclasses import dataclass, field, replace
 
-from repro.devtools.lint import project_rules  # noqa: F401 -- registers PFM010-014
+from repro.devtools.lint import project_rules  # noqa: F401 -- registers PFM010-013
 from repro.devtools.lint.cache import (
     DEFAULT_CACHE_DIR,
     LintCache,

@@ -59,6 +59,7 @@ DEFAULT_LAYER_DATA: dict = {
         {
             "name": "foundation",
             "modules": [
+                "repro.atomicfile",
                 "repro.errors",
                 "repro.rng",
                 "repro.version",

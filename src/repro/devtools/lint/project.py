@@ -12,13 +12,13 @@ This module closes that gap in two stages:
    **summary** of one module -- its imports (with top-level/lazy
    distinction), name bindings, classes and bases, and per-function
    facts (direct calls, wall-clock and unseeded-RNG sources, values
-   that cannot cross a pickle boundary, unconditional deprecation
-   warnings).  Summaries are pure data, so the content-addressed cache
-   (:mod:`repro.devtools.lint.cache`) stores them alongside per-file
-   findings and a warm run never re-parses an unchanged file.
+   that cannot cross a pickle boundary).  Summaries are pure data, so
+   the content-addressed cache (:mod:`repro.devtools.lint.cache`)
+   stores them alongside per-file findings and a warm run never
+   re-parses an unchanged file.
 2. :class:`ProjectModel` assembles all summaries into an **import
    graph** and a conservative **call graph**, and offers the
-   reachability queries the PFM010--PFM014 rules are written against.
+   reachability queries the PFM010--PFM013 rules are written against.
 
 Soundness limits (documented, deliberate -- see docs/static-analysis.md):
 
@@ -46,7 +46,7 @@ from repro.devtools.lint.rules import dotted_name
 
 #: Bumped whenever the summary schema or extraction logic changes, so
 #: cached entries from older analyzers can never be mistaken for fresh.
-ANALYZER_VERSION = 3
+ANALYZER_VERSION = 4
 
 #: Wall-clock call names (mirrors PFM002, shared by PFM011).
 WALL_CALLS = frozenset(
@@ -197,9 +197,7 @@ class _FunctionFacts:
         self.sinks: list[dict] = []
         self.unpicklable_locals: list[tuple[str, int]] = []
         self.ctor_locals: list[tuple[str, str, int]] = []
-        self.fit_calls: list[dict] = []
         self.returns_unpicklable = False
-        self.warns_deprecation = False
 
     def to_dict(self) -> dict:
         return {
@@ -210,24 +208,8 @@ class _FunctionFacts:
             "sinks": self.sinks,
             "unpicklable_locals": [list(c) for c in self.unpicklable_locals],
             "ctor_locals": [list(c) for c in self.ctor_locals],
-            "fit_calls": self.fit_calls,
             "returns_unpicklable": self.returns_unpicklable,
-            "warns_deprecation": self.warns_deprecation,
         }
-
-
-def _is_deprecation_warn(call: ast.Call) -> bool:
-    """A ``warnings.warn(..., DeprecationWarning, ...)`` call."""
-    name = dotted_name(call.func)
-    if name is None or name.split(".")[-1] != "warn":
-        return False
-    candidates: list[ast.expr] = list(call.args[1:2])
-    candidates += [kw.value for kw in call.keywords if kw.arg == "category"]
-    for cand in candidates:
-        cand_name = dotted_name(cand)
-        if cand_name and cand_name.split(".")[-1] == "DeprecationWarning":
-            return True
-    return False
 
 
 def build_module_summary(
@@ -361,10 +343,6 @@ def build_module_summary(
                     not sanctioned(node.lineno, ("PFM001", "PFM012"))
                 ):
                     facts.rng.append((name, node.lineno))
-                if _is_deprecation_warn(node) and isinstance(
-                    stmt, ast.Expr
-                ) and stmt.value is node:
-                    facts.warns_deprecation = True
                 if is_pool_sink(name):
                     facts.sinks.append(
                         {
@@ -382,17 +360,6 @@ def build_module_summary(
                             },
                         }
                     )
-                if (
-                    isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "fit"
-                    and len(node.args) == 2
-                ):
-                    recv = dotted_name(node.func.value)
-                    if recv is not None:
-                        facts.fit_calls.append(
-                            {"recv": recv, "npos": len(node.args),
-                             "lineno": node.lineno}
-                        )
 
     module_facts = _FunctionFacts(lineno=1)
     module_locals: set[str] = set()

@@ -1,10 +1,10 @@
-"""The inter-procedural pfmlint rules: PFM010 -- PFM014.
+"""The inter-procedural pfmlint rules: PFM010 -- PFM013.
 
 These rules run in the engine's *project phase*, against the assembled
 :class:`~repro.devtools.lint.project.ProjectModel`, and express the
 invariants a per-file pass cannot see: the layer DAG, transitive
-wall-clock and RNG taint, unpicklable values flowing through
-assignments, and internal use of deprecation-shimmed call forms.
+wall-clock and RNG taint, and unpicklable values flowing through
+assignments.
 
 Each rule subclasses :class:`ProjectRule` and implements
 :meth:`~ProjectRule.check_project`; findings anchor at a concrete
@@ -304,124 +304,4 @@ class UnpicklableFlowRule(ProjectRule):
                         "cannot cross the process boundary; use a "
                         "module-level function or a picklable callable "
                         "object",
-                    )
-
-
-# ----------------------------------------------------------------------
-# PFM014 -- internal use of deprecation-shimmed legacy call forms
-# ----------------------------------------------------------------------
-
-
-@register
-class LegacyCallFormRule(ProjectRule):
-    """Internal code still uses a deprecation-shimmed legacy call form.
-
-    The unified predictor protocol (``fit(TrainingData)`` /
-    ``score_batch``) keeps legacy call forms alive behind
-    ``DeprecationWarning`` shims for external users; *internal* use of a
-    shim hides the migration debt and -- under the test suite's
-    ``error::DeprecationWarning:repro`` filter -- fails at runtime.
-    Fires on (a) calls to functions that unconditionally issue a
-    ``DeprecationWarning`` (e.g. ``replicate_closed_loop``) from any
-    other module, (b) the legacy two-argument ``fit(x, y)`` /
-    ``fit(failure, nonfailure)`` call form on a locally constructed
-    predictor, and (c) subclasses of the predictor bases that override
-    ``fit`` itself instead of the ``fit_samples`` / ``fit_sequences``
-    hooks.
-    """
-
-    id = "PFM014"
-    title = "deprecation-shimmed legacy call form"
-    version = 1
-
-    #: Unified-protocol base classes whose subclasses must not override
-    #: ``fit`` nor be fed the legacy two-argument call form.
-    PREDICTOR_BASES = (
-        "repro.prediction.base.SymptomPredictor",
-        "repro.prediction.base.EventPredictor",
-    )
-
-    def _predictor_base_keys(self, model: ProjectModel) -> set[str]:
-        keys: set[str] = set()
-        for dotted in self.PREDICTOR_BASES:
-            split = model._split_symbol(dotted)
-            if split is None:
-                continue
-            module, qualname = split
-            if qualname in model.modules[module]["classes"]:
-                keys.add(f"{module}::{qualname}")
-        return keys
-
-    def check_project(self, model: ProjectModel) -> Iterator[Finding]:
-        base_keys = self._predictor_base_keys(model)
-        base_modules = {key.split("::", 1)[0] for key in base_keys}
-
-        def is_predictor(ckey: str) -> bool:
-            return bool(base_keys & (model.ancestors(ckey) | {ckey}))
-
-        for fkey in model.function_keys():
-            module, qualname = fkey.split("::", 1)
-            facts = model.function_facts(fkey)
-
-            # (a) calls to unconditionally-deprecated functions
-            for site in model.calls_from(fkey):
-                target_module = site.callee.split("::", 1)[0]
-                if target_module == module:
-                    continue  # shim infrastructure calling its own
-                target = model.function_facts(site.callee)
-                if target["warns_deprecation"]:
-                    yield self._finding(
-                        model,
-                        self.id,
-                        module,
-                        site.lineno,
-                        f"call to deprecation-shimmed "
-                        f"'{site.callee.replace('::', '.')}' from internal "
-                        "code; migrate to the replacement it warns about",
-                    )
-
-            # (b) legacy two-argument fit on a known predictor instance
-            for fit in facts["fit_calls"]:
-                recv = fit["recv"]
-                ckey: str | None = None
-                for var, ctor, _lineno in facts["ctor_locals"]:
-                    if var == recv:
-                        resolved = model.resolve_symbol(module, ctor)
-                        if resolved and resolved[0] == "class":
-                            ckey = resolved[1]
-                        break
-                else:
-                    resolved = model.resolve_symbol(module, recv)
-                    if resolved and resolved[0] == "class":
-                        ckey = resolved[1]
-                if ckey is not None and is_predictor(ckey):
-                    yield self._finding(
-                        model,
-                        self.id,
-                        module,
-                        fit["lineno"],
-                        f"legacy two-argument fit(...) on "
-                        f"{ckey.replace('::', '.')}; pass one TrainingData "
-                        "bundle (fit(TrainingData.from_samples(x, y)) / "
-                        ".from_sequences(...)) or call fit_samples/"
-                        "fit_sequences directly",
-                    )
-
-        # (c) predictor subclasses overriding fit() itself
-        for module in sorted(model.modules):
-            if module in base_modules:
-                continue  # the protocol module defines the shims
-            for cls, info in sorted(model.modules[module]["classes"].items()):
-                ckey = f"{module}::{cls}"
-                if "fit" not in info["methods"]:
-                    continue
-                if base_keys & model.ancestors(ckey):
-                    yield self._finding(
-                        model,
-                        self.id,
-                        module,
-                        info["methods"]["fit"],
-                        f"{cls} overrides fit() on a unified-protocol "
-                        "predictor base; override fit_samples/fit_sequences "
-                        "instead (the base fit() shims and warns)",
                     )

@@ -12,8 +12,8 @@ This module fixes that with a content-addressed on-disk store:
   training-cache key into a stable file name, so every process that
   computes the same key addresses the same artifact;
 - :class:`ArtifactStore` serializes a trained predictor exactly once
-  (atomic write: temp file + ``os.replace``) and loads it everywhere
-  else.  The reader is tolerant the same way the shard ledger is: a
+  (published with :func:`repro.atomicfile.write_atomic`) and loads it
+  everywhere else.  The reader is tolerant the same way the shard ledger is: a
   corrupt or torn artifact is *reported* (:class:`ArtifactStoreWarning`)
   and treated as a miss, so the worst case is re-training a model, never
   crashing a fleet;
@@ -39,6 +39,7 @@ import os
 import pickle
 import warnings
 
+from repro.atomicfile import write_atomic
 from repro.errors import ArtifactStoreWarning
 
 #: Schema tag inside every artifact payload so future layouts can be
@@ -78,23 +79,17 @@ class ArtifactStore:
     def save(self, key, trained) -> str:
         """Atomically publish ``trained`` for ``key``; returns the path.
 
-        Write-to-temp + ``os.replace`` so a concurrent reader never sees
-        a half-written artifact and concurrent writers (two pre-warms
-        racing on a shared store) just overwrite with identical bytes.
+        A concurrent reader never sees a half-written artifact, and
+        concurrent writers (two pre-warms racing on a shared store) just
+        overwrite with identical bytes.
         """
-        os.makedirs(self.root, exist_ok=True)
         path = self.path_for(key)
-        tmp_path = f"{path}.tmp.{os.getpid()}"
         payload = {
             "version": ARTIFACT_VERSION,
             "key_repr": repr(key),
             "trained": trained,
         }
-        with open(tmp_path, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
+        write_atomic(path, pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
         return path
 
     def load(self, key):

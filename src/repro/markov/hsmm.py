@@ -24,16 +24,16 @@ Inference (forward likelihood, Viterbi segmentation) runs in log space in
 
 Inference-core architecture
 ---------------------------
-Scoring and Viterbi (``strategy="vectorized"``, the default) run one kernel
-over a whole batch: the sequences are right-padded into a ``(T_max, B)``
-symbol matrix and the recursion steps once per time slot for all of them,
-assembling the segment scores of *all* durations from a running
-cumulative-emission sum and reducing them with one ``logsumexp`` /
-``argmax``.  Each score is read at its sequence's own last slot.  Right
-padding is exact: slot ``t`` only reads slots ``<= t``, so padding never
-reaches an earlier slot, and the reductions are in-order scans rather than
-shape-dependent pairwise sums -- a batched score is bit-identical to the
-sequence scored alone, which is what a single sequence is (a batch of one).
+Scoring and Viterbi run one kernel over a whole batch: the sequences are
+right-padded into a ``(T_max, B)`` symbol matrix and the recursion steps
+once per time slot for all of them, assembling the segment scores of *all*
+durations from a running cumulative-emission sum and reducing them with
+one ``logsumexp`` / ``argmax``.  Each score is read at its sequence's own
+last slot.  Right padding is exact: slot ``t`` only reads slots ``<= t``,
+so padding never reaches an earlier slot, and the reductions are in-order
+scans rather than shape-dependent pairwise sums -- a batched score is
+bit-identical to the sequence scored alone, which is what a single
+sequence is (a batch of one).
 Columns run longest first, so finished sequences drop out of the per-slot
 work.  The working set is ``O(D * B * N)``: entry masses and cumulative
 emissions of the last ``D`` start slots live in ring buffers (Viterbi adds
@@ -45,8 +45,8 @@ accumulating segment posteriors duration-major with a difference-array for
 the per-slot emission mass -- ``O(T * D * N)`` instead of ``O(T^2 * D * N)``.
 Log-parameters are memoized behind a parameter-version fingerprint, so one
 EM iteration or scoring batch builds them once.  The original loop
-implementations stay behind ``strategy="reference"`` as the correctness
-oracle.
+implementations live on as the correctness oracle the tests compare
+against (``tests/markov/hsmm_reference.py``).
 """
 
 from __future__ import annotations
@@ -64,9 +64,6 @@ from repro.rng import ensure_rng
 
 _EPS = 1e-12
 _LOG_EPS = np.log(_EPS)
-
-#: Strategies accepted by the inference dispatcher.
-_STRATEGIES = ("vectorized", "reference")
 
 
 def _default_duration_factory(max_duration: int) -> DiscreteDuration:
@@ -113,7 +110,7 @@ def _lse(a: np.ndarray) -> np.ndarray:
 
     ``scipy.special.logsumexp``'s array-API dispatch costs more than the
     arithmetic on the small per-slot arrays this module reduces, so the
-    kernels use this minimal max-shifted form (the reference strategy keeps
+    kernels use this minimal max-shifted form (the loop oracle keeps
     scipy's, which computes the same value).  ``np.add.accumulate`` is an
     in-order scan whatever the array's shape, whereas ``np.sum`` switches
     to pairwise summation when the reduced axis is the contiguous one (e.g.
@@ -366,10 +363,6 @@ class HiddenSemiMarkovModel:
         defaults to nonparametric :class:`EmpiricalDuration`.
     rng:
         Generator for random initialization and sampling.
-    strategy:
-        ``"vectorized"`` (default) runs the duration-vectorized inference
-        core; ``"reference"`` runs the original per-duration Python loops
-        (the correctness oracle the equivalence tests compare against).
     """
 
     def __init__(
@@ -379,16 +372,12 @@ class HiddenSemiMarkovModel:
         max_duration: int = 10,
         duration_factory: Callable[[int], DiscreteDuration] | None = None,
         rng: np.random.Generator | None = None,
-        strategy: str = "vectorized",
     ) -> None:
         if n_states < 1 or n_symbols < 1:
             raise ModelError("need at least one state and one symbol")
-        if strategy not in _STRATEGIES:
-            raise ModelError(f"unknown inference strategy {strategy!r}")
         self.n_states = int(n_states)
         self.n_symbols = int(n_symbols)
         self.max_duration = int(max_duration)
-        self.strategy = strategy
         rng = ensure_rng(rng, default_seed=0)
         factory = duration_factory or _default_duration_factory
         self._duration_factory = factory
@@ -466,56 +455,6 @@ class HiddenSemiMarkovModel:
         return np.cumsum(step, axis=0)
 
     # ------------------------------------------------------------------
-    # Reference loops (correctness oracle)
-    # ------------------------------------------------------------------
-
-    def _forward_reference(
-        self, obs: np.ndarray, params: LogParams, cum: np.ndarray
-    ) -> np.ndarray:
-        """Original per-duration forward loop (correctness oracle)."""
-        log_pi, log_a, _, log_d = params
-        n = obs.size
-        alpha = np.full((n, self.n_states), -np.inf)
-        for t in range(n):
-            d_max = min(self.max_duration, t + 1)
-            # Contributions for each admissible duration d (vectorized over states).
-            terms = np.full((d_max, self.n_states), -np.inf)
-            for d in range(1, d_max + 1):
-                start = t - d + 1
-                emis = cum[t] - (cum[start - 1] if start > 0 else 0.0)
-                dur = log_d[:, d - 1]
-                if start == 0:
-                    terms[d - 1] = log_pi + dur + emis
-                else:
-                    prev = logsumexp(
-                        alpha[start - 1][:, None] + log_a, axis=0
-                    )  # (n_states,)
-                    terms[d - 1] = prev + dur + emis
-            alpha[t] = logsumexp(terms, axis=0)
-        return alpha
-
-    def _backward_reference(
-        self, obs: np.ndarray, params: LogParams, cum: np.ndarray
-    ) -> np.ndarray:
-        """Original per-duration backward loop (correctness oracle)."""
-        _, log_a, _, log_d = params
-        n = obs.size
-        beta = np.full((n, self.n_states), -np.inf)
-        beta[n - 1] = 0.0
-        for t in range(n - 2, -1, -1):
-            # eta[j'] = log P(a segment of j' starts at t+1 and the rest
-            # of the sequence follows).
-            d_max = min(self.max_duration, n - 1 - t)
-            terms = np.full((d_max, self.n_states), -np.inf)
-            for d in range(1, d_max + 1):
-                end = t + d
-                emis = cum[end] - cum[t]
-                terms[d - 1] = log_d[:, d - 1] + emis + beta[end]
-            eta = logsumexp(terms, axis=0)  # (n_states,)
-            beta[t] = logsumexp(log_a + eta[None, :], axis=1)
-        return beta
-
-    # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
 
@@ -543,15 +482,7 @@ class HiddenSemiMarkovModel:
         return self._log_likelihoods(observations)
 
     def _log_likelihoods(self, observations: list[np.ndarray]) -> np.ndarray:
-        params = self._log_params()
-        if self.strategy == "reference":
-            return np.array([
-                logsumexp(self._forward_reference(
-                    obs, params, self._segment_emissions(obs, params.log_b)
-                )[-1])
-                for obs in observations
-            ])
-        return _forward_batch(_RaggedBatch(observations), params)
+        return _forward_batch(_RaggedBatch(observations), self._log_params())
 
     def viterbi(self, sequence: Sequence[int]) -> list[Segment]:
         """Most likely segmentation of ``sequence`` into state runs."""
@@ -562,44 +493,7 @@ class HiddenSemiMarkovModel:
         self, observations: list[np.ndarray], params: LogParams
     ) -> list[list[Segment]]:
         """Viterbi segmentation of every sequence (one padded pass)."""
-        if self.strategy == "reference":
-            return [
-                self._viterbi_reference(
-                    obs, params, self._segment_emissions(obs, params.log_b)
-                )
-                for obs in observations
-            ]
         return _viterbi_batch(_RaggedBatch(observations), params)
-
-    def _viterbi_reference(
-        self, obs: np.ndarray, params: LogParams, cum: np.ndarray
-    ) -> list[Segment]:
-        """Original per-duration Viterbi loop (correctness oracle)."""
-        log_pi, log_a, _, log_d = params
-        n = obs.size
-        delta = np.full((n, self.n_states), -np.inf)
-        best_dur = np.zeros((n, self.n_states), dtype=int)
-        entry_arg = np.full((n, self.n_states), -1, dtype=int)
-        for t in range(n):
-            d_max = min(self.max_duration, t + 1)
-            for d in range(1, d_max + 1):
-                start = t - d + 1
-                emis = cum[t] - (cum[start - 1] if start > 0 else 0.0)
-                dur = log_d[:, d - 1]
-                if start == 0:
-                    scores = log_pi + dur + emis
-                else:
-                    candidates = delta[start - 1][:, None] + log_a
-                    entry_arg[start] = np.argmax(candidates, axis=0)
-                    scores = (
-                        candidates[entry_arg[start], np.arange(self.n_states)]
-                        + dur
-                        + emis
-                    )
-                better = scores > delta[t]
-                delta[t][better] = scores[better]
-                best_dur[t][better] = d
-        return _viterbi_backtrack(delta[-1], best_dur, entry_arg)
 
     # ------------------------------------------------------------------
     # Training (segmental hard-EM)
@@ -739,10 +633,7 @@ class HiddenSemiMarkovModel:
             params = self._log_params()
             accumulators = (init_acc, trans_acc, emit_acc, dur_acc)
             for obs in observations:
-                if self.strategy == "reference":
-                    total_ll += self._soft_estep_reference(obs, params, accumulators)
-                else:
-                    total_ll += self._soft_estep_vectorized(obs, params, accumulators)
+                total_ll += self._soft_estep(obs, params, accumulators)
             # M-step.
             self.initial = init_acc / init_acc.sum()
             if self.n_states > 1:
@@ -759,7 +650,7 @@ class HiddenSemiMarkovModel:
         self._fitted = True
         return trace
 
-    def _soft_estep_vectorized(
+    def _soft_estep(
         self, obs: np.ndarray, params: LogParams, accumulators: tuple
     ) -> float:
         """Duration-major E-step in ``O(T * D * N)``.
@@ -815,60 +706,6 @@ class HiddenSemiMarkovModel:
                 - log_likelihood
             )
             trans_acc += np.exp(np.clip(log_xi, -700.0, 50.0)).sum(axis=0)
-        return log_likelihood
-
-    def _soft_estep_reference(
-        self, obs: np.ndarray, params: LogParams, accumulators: tuple
-    ) -> float:
-        """Original segment-major E-step loops (correctness oracle)."""
-        init_acc, trans_acc, emit_acc, dur_acc = accumulators
-        log_pi, log_a, log_b, log_d = params
-        n = obs.size
-        cum = self._segment_emissions(obs, log_b)
-        alpha = self._forward_reference(obs, params, cum)
-        beta = self._backward_reference(obs, params, cum)
-        log_likelihood = float(logsumexp(alpha[-1]))
-        # in_log[s, j]: log-mass of entering state j at slot s.
-        in_log = np.full((n, self.n_states), -np.inf)
-        in_log[0] = log_pi
-        for s in range(1, n):
-            in_log[s] = logsumexp(alpha[s - 1][:, None] + log_a, axis=0)
-        # Segment posteriors.
-        for s in range(n):
-            d_max = min(self.max_duration, n - s)
-            for d in range(1, d_max + 1):
-                end = s + d - 1
-                emis = cum[end] - (cum[s - 1] if s > 0 else 0.0)
-                log_w = (
-                    in_log[s]
-                    + log_d[:, d - 1]
-                    + emis
-                    + beta[end]
-                    - log_likelihood
-                )
-                w = np.exp(np.clip(log_w, -700.0, 50.0))
-                if not w.any():
-                    continue
-                dur_acc[:, d - 1] += w
-                if s == 0:
-                    init_acc += w
-                for symbol in obs[s : end + 1]:
-                    emit_acc[:, symbol] += w
-        # Transition posteriors at each boundary t -> t+1.
-        for t in range(n - 1):
-            # eta[j'] = log P(segment of j' starts at t+1, rest follows).
-            d_max = min(self.max_duration, n - 1 - t)
-            terms = np.full((d_max, self.n_states), -np.inf)
-            for d in range(1, d_max + 1):
-                end = t + d
-                terms[d - 1] = (
-                    log_d[:, d - 1] + (cum[end] - cum[t]) + beta[end]
-                )
-            eta = logsumexp(terms, axis=0)
-            log_xi = (
-                alpha[t][:, None] + log_a + eta[None, :] - log_likelihood
-            )
-            trans_acc += np.exp(np.clip(log_xi, -700.0, 50.0))
         return log_likelihood
 
     def _randomize(self, rng: np.random.Generator) -> None:

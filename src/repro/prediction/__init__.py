@@ -28,15 +28,12 @@ from repro.prediction.arbitration import (
 )
 from repro.prediction.base import (
     EventPredictor,
-    EventPredictorAdapter,
     Prediction,
     PredictionBatch,
     Predictor,
     PredictorInfo,
     SymptomPredictor,
-    SymptomPredictorAdapter,
     TrainingData,
-    as_predictor,
 )
 from repro.prediction.diagnosis import ComponentRanker, FaultTypeClassifier
 from repro.prediction.online import OnlineEventScorer
@@ -74,15 +71,12 @@ __all__ = [
     "FaultTypeClassifier",
     "OnlineEventScorer",
     "EventPredictor",
-    "EventPredictorAdapter",
     "Prediction",
     "PredictionBatch",
     "Predictor",
     "PredictorInfo",
     "SymptomPredictor",
-    "SymptomPredictorAdapter",
     "TrainingData",
-    "as_predictor",
     "ContingencyTable",
     "auc",
     "roc_curve",

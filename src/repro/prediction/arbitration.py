@@ -31,7 +31,7 @@ controller anywhere a single predictor did.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from repro.prediction.base import (
     Predictor,
     PredictorInfo,
     TrainingData,
-    as_predictor,
 )
 from repro.prediction.calibration import make_calibrator
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
@@ -61,7 +60,11 @@ class ArbitrationMember:
     calibrator: object = None  # fitted by the arbitrator
 
     def __post_init__(self) -> None:
-        self.predictor = as_predictor(self.predictor)
+        if not isinstance(self.predictor, Predictor):
+            raise ConfigurationError(
+                f"member {self.name!r} must be a Predictor, got "
+                f"{type(self.predictor).__name__}"
+            )
         if not 0.0 <= self.criticality <= 1.0:
             raise ConfigurationError(
                 f"criticality for member {self.name!r} must be in [0, 1], "
@@ -91,7 +94,8 @@ class NoisyOrArbitrator(Predictor):
     """Noisy-OR fusion of a mixed panel of base predictors.
 
     ``members`` may hold :class:`ArbitrationMember`\\ s, bare predictors,
-    or ``(name, predictor)`` / ``(name, predictor, criticality)`` tuples.
+    or ``(name, predictor)`` / ``(name, predictor, criticality)`` tuples;
+    every predictor must be a :class:`~repro.prediction.base.Predictor`.
     ``fit`` trains every member on the shared
     :class:`~repro.prediction.base.TrainingData` bundle, then fits one
     calibrator per member (Platt or isotonic) mapping that member's raw
@@ -153,9 +157,12 @@ class NoisyOrArbitrator(Predictor):
     @staticmethod
     def _coerce_member(entry, index: int, criticality: dict) -> ArbitrationMember:
         if isinstance(entry, ArbitrationMember):
-            if entry.name in criticality:
-                entry.criticality = float(criticality[entry.name])
-            return entry
+            # A copy: the caller's member stays untouched, and the
+            # overriding criticality passes the same range check.
+            return replace(
+                entry,
+                criticality=float(criticality.get(entry.name, entry.criticality)),
+            )
         if isinstance(entry, tuple):
             if len(entry) == 2:
                 name, predictor = entry
@@ -167,12 +174,11 @@ class NoisyOrArbitrator(Predictor):
                     "member tuples must be (name, predictor[, criticality])"
                 )
             return ArbitrationMember(name, predictor, float(weight))
-        predictor = as_predictor(entry)
-        name = getattr(getattr(predictor, "info", None), "name", None) or (
+        name = getattr(getattr(entry, "info", None), "name", None) or (
             f"member-{index}"
         )
         return ArbitrationMember(
-            name, predictor, float(criticality.get(name, DEFAULT_CRITICALITY))
+            name, entry, float(criticality.get(name, DEFAULT_CRITICALITY))
         )
 
     # ------------------------------------------------------------------

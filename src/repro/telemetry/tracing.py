@@ -7,8 +7,8 @@ its own lane into that directory:
 
 - each worker serializes the full span/event stream of every shard it
   executes to a per-shard JSONL **sidecar** (``shards/<key>.jsonl``,
-  written atomically: temp file + ``os.replace``, the same discipline as
-  the artifact store — a worker hard-killed mid-write leaves only a temp
+  published with :func:`repro.atomicfile.write_atomic`, like the
+  artifact store — a worker hard-killed mid-write leaves only a temp
   file behind, and the retried attempt publishes a complete sidecar);
 - the supervisor loop records its recovery work (worker restarts,
   retries, quarantines, chaos arming) as first-class events in a
@@ -47,6 +47,7 @@ import os
 import re
 from dataclasses import dataclass
 
+from repro.atomicfile import write_atomic
 from repro.errors import ConfigurationError
 from repro.telemetry.hub import TelemetryHub
 
@@ -219,21 +220,9 @@ def announce_shard_hub(hub) -> None:
 
 
 def _atomic_write_lines(path: str, lines: list[str]) -> str:
-    """Write ``lines`` to ``path`` via temp file + ``os.replace``.
-
-    Same discipline as :meth:`repro.fleet.artifacts.ArtifactStore.save`:
-    a reader never sees a half-written file, and a hard-killed writer
-    leaves only a temp file (ignored by every reader here).
-    """
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    tmp_path = f"{path}.tmp{os.getpid()}"
-    with open(tmp_path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + ("\n" if lines else ""))
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
+    """Publish ``lines`` at ``path`` atomically; returns the path."""
+    text = "\n".join(lines) + ("\n" if lines else "")
+    write_atomic(path, text.encode("utf-8"))
     return path
 
 

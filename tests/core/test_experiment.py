@@ -9,6 +9,7 @@ import pytest
 
 from repro.core import run_closed_loop
 from repro.core.experiment import DEFAULT_VARIABLES, train_predictor
+from repro.fleet import RunSpec, run_fleet
 from repro.telecom.dataset import DatasetConfig
 
 
@@ -51,31 +52,32 @@ class TestClosedLoop:
 
 
 class TestReplication:
+    """One predictor (``train_seed`` pinned), several faultloads, run as a
+    fleet grid: PFM must lower unavailability on every faultload, not
+    only on average."""
+
     @pytest.fixture(scope="class")
     def replicated(self):
-        from repro.core import replicate_closed_loop
-
-        with pytest.warns(DeprecationWarning, match="replicate_closed_loop"):
-            return replicate_closed_loop(
-                eval_seeds=[21, 23], train_seed=11, horizon=1.5 * 86_400.0
-            )
+        return run_fleet(
+            [
+                RunSpec(
+                    scenario="closed-loop",
+                    seed=seed,
+                    train_seed=11,
+                    eval_seed=seed,
+                    horizon=1.5 * 86_400.0,
+                )
+                for seed in (21, 23)
+            ],
+            backend="serial",
+        )
 
     def test_one_result_per_seed(self, replicated):
-        assert len(replicated.results) == 2
+        assert [r.spec.eval_seed for r in replicated.results] == [21, 23]
 
     def test_improvement_on_every_seed(self, replicated):
-        assert replicated.always_improves
-        assert replicated.mean_unavailability_ratio < 1.0
-
-    def test_summary_shows_spread(self, replicated):
-        text = replicated.summary()
-        assert "+/-" in text and "replicates: 2" in text
-
-    def test_requires_seeds(self):
-        from repro.core import replicate_closed_loop
-
-        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-            replicate_closed_loop(eval_seeds=[])
+        for result in replicated.results:
+            assert result.unavailability_ratio < 1.0, result.spec.key()
 
 
 class TestRepairMeasurement:

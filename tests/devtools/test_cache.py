@@ -3,6 +3,7 @@
 import json
 import os
 
+from repro.devtools.lint.cli import main as lint_main
 from repro.devtools.lint.cache import (
     LintCache,
     engine_signature,
@@ -133,6 +134,19 @@ class TestCacheStore:
         loaded = cache.load("a" * 64, "sig")
         assert loaded is not None
         assert loaded["findings"] == []
+
+    def test_uncreatable_cache_dir_lints_like_no_cache(
+        self, make_project, tmp_path, capsys
+    ):
+        root = make_project({"repro/a.py": "bad = x != 0.5\n"})
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")  # a regular file: no directory can go under it
+        args = [root, "--no-baseline", "--format", "json"]
+        no_cache = lint_main([*args, "--no-cache"])
+        expected = json.loads(capsys.readouterr().out)["findings"]
+        code = lint_main([*args, "--cache-dir", str(blocker / "cache")])
+        assert code == no_cache == 1
+        assert json.loads(capsys.readouterr().out)["findings"] == expected
 
     def test_wrong_signature_misses(self, tmp_path):
         cache = LintCache(str(tmp_path / "c"))

@@ -1,7 +1,7 @@
 """Vectorized-vs-reference equivalence for the HSMM inference core.
 
-The ``strategy="vectorized"`` hot path must reproduce the original loop
-implementations (kept behind ``strategy="reference"``) to within float
+The vectorized kernels must reproduce the original loop implementations
+(:class:`~tests.markov.hsmm_reference.ReferenceHSMM`) to within float
 reassociation noise -- these tests pin that contract at 1e-8 on randomized
 models and sequences, for every inference primitive and both trainers.
 """
@@ -9,9 +9,9 @@ models and sequences, for every inference primitive and both trainers.
 import numpy as np
 import pytest
 
-from repro.errors import ModelError
 from repro.markov import HiddenSemiMarkovModel, UniformDuration
 from repro.markov.hsmm import _backward_pass, _default_duration_factory, _forward_pass
+from tests.markov.hsmm_reference import ReferenceHSMM, reference_twin
 
 
 def random_model(rng, n_states, n_symbols, max_duration):
@@ -29,17 +29,11 @@ def random_model(rng, n_states, n_symbols, max_duration):
     return model
 
 
-def reference_twin(model):
-    twin = model.clone()
-    twin.strategy = "reference"
-    return twin
-
-
 def tables(model, obs):
-    """Full ``(alpha, beta)`` log tables under the model's strategy."""
+    """Full ``(alpha, beta)`` log tables, from the loops for a reference."""
     params = model._log_params()
     cum = model._segment_emissions(obs, params.log_b)
-    if model.strategy == "reference":
+    if isinstance(model, ReferenceHSMM):
         return (
             model._forward_reference(obs, params, cum),
             model._backward_reference(obs, params, cum),
@@ -61,6 +55,13 @@ SHAPES = [
 
 
 class TestInferenceEquivalence:
+    def test_reference_overrides_every_inference_path(self):
+        # Otherwise a comparison would pit the kernels against themselves.
+        for name in ("_log_likelihoods", "_segmentations", "_soft_estep"):
+            assert getattr(ReferenceHSMM, name) is not getattr(
+                HiddenSemiMarkovModel, name
+            )
+
     @pytest.mark.parametrize("n_states,n_symbols,max_duration,seq_len", SHAPES)
     def test_forward_backward_likelihood(
         self, n_states, n_symbols, max_duration, seq_len
@@ -213,10 +214,6 @@ class TestParameterCache:
 
 
 class TestStrategySwitch:
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ModelError):
-            HiddenSemiMarkovModel(2, 3, strategy="magic")
-
     def test_default_factory_is_picklable(self):
         import pickle
 

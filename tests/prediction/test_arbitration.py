@@ -118,6 +118,31 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ArbitrationMember("a", ColumnScorer(), criticality=1.5)
 
+    def test_non_predictor_member_rejected(self):
+        for members in (
+            [object()],
+            [("a", object())],
+            [("a", object(), 0.5)],
+        ):
+            with pytest.raises(ConfigurationError, match="must be a Predictor"):
+                NoisyOrArbitrator(members)
+        with pytest.raises(ConfigurationError, match="must be a Predictor"):
+            ArbitrationMember("a", object())
+
+    def test_criticality_map_cannot_push_member_out_of_range(self):
+        member = ArbitrationMember("a", ColumnScorer(), 0.5)
+        with pytest.raises(ConfigurationError, match=r"must be in \[0, 1\]"):
+            NoisyOrArbitrator([member], criticality={"a": 5.0})
+        assert member.criticality == 0.5
+
+    def test_criticality_map_leaves_callers_member_untouched(self, panel_data):
+        member = ArbitrationMember("a", ColumnScorer(), 0.5)
+        arbitrator = NoisyOrArbitrator([member], criticality={"a": 0.25})
+        arbitrator.fit(panel_data)
+        assert arbitrator.members[0].criticality == 0.25
+        assert member.criticality == 0.5
+        assert member.calibrator is None
+
     def test_unknown_calibration_rejected_eagerly(self):
         with pytest.raises(ConfigurationError):
             NoisyOrArbitrator([("a", ColumnScorer())], calibration="magic")

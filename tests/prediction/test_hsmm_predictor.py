@@ -4,7 +4,9 @@ import pytest
 from repro.errors import ConfigurationError, NotFittedError
 from repro.monitoring.records import EventSequence
 from repro.prediction.hsmm import HSMMPredictor
+from repro.prediction.hsmm import predictor as predictor_module
 from repro.prediction.hsmm.predictor import hmm_ablation_predictor
+from tests.markov.hsmm_reference import ReferenceHSMM
 
 
 def synthetic_sequences(rng, n_per_class=15):
@@ -145,26 +147,26 @@ class TestBatchScoring:
     def test_batch_empty(self, fitted):
         assert fitted.score_sequences([]).size == 0
 
-    def test_reference_strategy_agrees_with_vectorized(self, sequence_data):
+    def test_reference_strategy_agrees_with_vectorized(
+        self, sequence_data, monkeypatch
+    ):
         (train_f, train_n), (test_f, test_n) = sequence_data
-        fast = HSMMPredictor(
-            n_states_failure=3, n_states_nonfailure=2, max_iter=4, seed=2
-        )
-        slow = HSMMPredictor(
-            n_states_failure=3, n_states_nonfailure=2, max_iter=4, seed=2,
-            strategy="reference",
-        )
-        fast.fit_sequences(train_f[:6], train_n[:6])
-        slow.fit_sequences(train_f[:6], train_n[:6])
+
+        def train():
+            predictor = HSMMPredictor(
+                n_states_failure=3, n_states_nonfailure=2, max_iter=4, seed=2
+            )
+            return predictor.fit_sequences(train_f[:6], train_n[:6])
+
+        fast = train()
+        monkeypatch.setattr(predictor_module, "HiddenSemiMarkovModel", ReferenceHSMM)
+        slow = train()
+        assert isinstance(slow.failure_model, ReferenceHSMM)
         np.testing.assert_allclose(
             fast.score_sequences(test_f[:4] + test_n[:4]),
             slow.score_sequences(test_f[:4] + test_n[:4]),
             atol=1e-8,
         )
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            HSMMPredictor(strategy="magic")
 
     def test_ablation_predictor_models_are_picklable(self, sequence_data):
         import pickle

@@ -1,4 +1,4 @@
-"""Unified Predictor protocol: TrainingData, adapters, legacy shims."""
+"""Unified Predictor protocol: TrainingData, batches, the family hooks."""
 
 from __future__ import annotations
 
@@ -6,49 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.prediction import (
-    EventPredictorAdapter,
-    PredictionBatch,
-    SymptomPredictorAdapter,
-    TrainingData,
-    as_predictor,
-)
+from repro.prediction import PredictionBatch, TrainingData, make_predictor
 from repro.prediction.base import EventPredictor, SymptomPredictor
 from repro.monitoring.records import EventSequence
-
-
-class MeanScorer(SymptomPredictor):
-    """New-style symptom predictor (implements the hooks)."""
-
-    def fit_samples(self, x, y):
-        self._fitted = True
-        return self
-
-    def score_samples(self, x):
-        return np.asarray(x, dtype=float).mean(axis=1)
-
-
-class LegacyScorer(SymptomPredictor):
-    """Old-style subclass that still overrides ``fit(x, y)`` directly."""
-
-    def fit(self, x, y):  # pre-unification signature
-        self.mean_ = float(np.asarray(x).mean())
-        self._fitted = True
-        return self
-
-    def score_samples(self, x):
-        return np.asarray(x, dtype=float).mean(axis=1) - self.mean_
-
-
-class LegacyBurst(EventPredictor):
-    """Old-style event subclass overriding ``fit(failure, nonfailure)``."""
-
-    def fit(self, failure_sequences, nonfailure_sequences):
-        self._fitted = True
-        return self
-
-    def score_sequence(self, sequence):
-        return float(len(sequence.times))
 
 
 def _sequences(n, events, label):
@@ -96,97 +56,26 @@ class TestTrainingData:
             batch.require_sequences("test")
 
 
-class TestLegacyShims:
-    def test_legacy_call_form_warns_and_fits(self, rng):
-        x, y = rng.normal(size=(30, 2)), rng.random(30)
-        predictor = MeanScorer()
-        with pytest.warns(DeprecationWarning):
-            predictor.fit(x, y)
-        assert predictor.score_samples(x).shape == (30,)
+class TestFamilyHooks:
+    def test_hooks_are_abstract(self):
+        class ScoreOnly(SymptomPredictor):
+            def score_samples(self, x):
+                return np.zeros(len(x))
 
-    def test_legacy_symptom_subclass_still_instantiates(self, rng):
-        """Overriding fit(x, y) directly must not break instantiation."""
-        x, y = rng.normal(size=(30, 2)), rng.random(30)
-        predictor = LegacyScorer()
-        with pytest.warns(DeprecationWarning):
-            predictor.fit_samples(x, y)
-        assert predictor.mean_ == pytest.approx(float(x.mean()))
+        class SequenceScoreOnly(EventPredictor):
+            def score_sequence(self, sequence):
+                return 0.0
 
-    def test_legacy_symptom_subclass_through_unified_fit(self, rng):
-        """as_predictor wraps fit-overriders so fit(TrainingData) works."""
-        data = TrainingData.from_samples(rng.normal(size=(30, 2)), rng.random(30))
-        adapted = as_predictor(LegacyScorer())
-        assert isinstance(adapted, SymptomPredictorAdapter)
-        with pytest.warns(DeprecationWarning):
-            adapted.fit(data)
-        scores = adapted.score_batch(data.batch())
-        assert scores.shape == (30,)
+        for cls in (ScoreOnly, SequenceScoreOnly):
+            with pytest.raises(TypeError, match="abstract"):
+                cls()
 
-    def test_legacy_event_subclass_through_unified_fit(self):
-        data = TrainingData(
-            failure_sequences=_sequences(3, 8, True),
-            nonfailure_sequences=_sequences(3, 2, False),
-        )
-        adapted = as_predictor(LegacyBurst())
-        assert isinstance(adapted, EventPredictorAdapter)
-        with pytest.warns(DeprecationWarning):
-            adapted.fit(data)
-        batch = PredictionBatch(sequences=_sequences(2, 5, None))
-        np.testing.assert_allclose(adapted.score_batch(batch), [5.0, 5.0])
-
-    def test_event_legacy_hook_delegation_warns(self):
-        predictor = LegacyBurst()
-        with pytest.warns(DeprecationWarning):
-            predictor.fit_sequences(
-                _sequences(2, 4, True), _sequences(2, 2, False)
-            )
-        assert predictor._fitted
-
-
-class TestAdapters:
-    class DuckSymptom:
-        """Not a Predictor subclass at all — just speaks the dialect."""
-
-        threshold = 0.5
-
-        def fit(self, x, y):
-            return self
-
-        def score_samples(self, x):
-            return np.asarray(x, dtype=float)[:, 0]
-
-    class DuckEvent:
-        threshold = 0.5
-
-        def fit(self, failure, nonfailure):
-            return self
-
-        def score_sequence(self, sequence):
-            return float(len(sequence.times))
-
-    def test_as_predictor_passthrough(self):
-        predictor = MeanScorer()
-        assert as_predictor(predictor) is predictor
-
-    def test_symptom_duck_is_adapted(self, rng):
-        adapted = as_predictor(self.DuckSymptom())
-        assert isinstance(adapted, SymptomPredictorAdapter)
-        data = TrainingData.from_samples(rng.normal(size=(10, 2)), rng.random(10))
-        adapted.fit(data)
-        assert adapted.score_batch(data.batch()).shape == (10,)
-
-    def test_event_duck_is_adapted(self):
-        adapted = as_predictor(self.DuckEvent())
-        assert isinstance(adapted, EventPredictorAdapter)
-        assert adapted.consumes == frozenset({"sequences"})
-
-    def test_adapter_threshold_delegates(self):
-        duck = self.DuckSymptom()
-        adapted = as_predictor(duck)
-        adapted.threshold = 0.9
-        assert duck.threshold == 0.9
-        assert adapted.threshold == 0.9
-
-    def test_unadaptable_object_rejected(self):
-        with pytest.raises(ConfigurationError):
-            as_predictor(object())
+    @pytest.mark.parametrize("name", ["ubf", "mset", "trend"])
+    def test_symptom_fit_without_features_names_the_class(self, name):
+        predictor = make_predictor(name, rng=np.random.default_rng(0))
+        data = TrainingData(labels=np.array([True, False, False, True]))
+        with pytest.raises(
+            ConfigurationError,
+            match=f"{type(predictor).__name__} consumes feature samples",
+        ):
+            predictor.fit(data)

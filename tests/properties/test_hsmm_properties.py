@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.markov import HiddenMarkovModel, HiddenSemiMarkovModel
+from tests.markov.hsmm_reference import reference_twin
 
 
 def symbol_sequences(n_symbols=3, min_len=2, max_len=20):
@@ -124,12 +125,6 @@ def randomized_model(n_states, seed):
     for dist in model.durations:
         dist.fit(rng.random(MAX_DURATION) + 0.05)
     return model
-
-
-def reference_twin(model):
-    twin = model.clone()
-    twin.strategy = "reference"
-    return twin
 
 
 class TestRaggedBatchProperties:

@@ -78,14 +78,6 @@ def test_top_level_identity_matches_canonical_modules():
     assert repro.make_predictor is make_predictor
 
 
-def test_replicate_closed_loop_is_a_deprecation_shim():
-    from repro.core.experiment import replicate_closed_loop
-
-    with pytest.warns(DeprecationWarning, match="run_fleet"):
-        with pytest.raises(ValueError):
-            replicate_closed_loop([])
-
-
 def test_exception_hierarchy():
     from repro import errors
 
