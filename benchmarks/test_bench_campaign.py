@@ -2,10 +2,11 @@
 
 Runs the graceful-degradation campaign twice on the identical trained
 models and faultload -- once with telemetry disabled, once with full
-instrumentation writing JSONL traces -- and records per-scenario
+instrumentation traced by the fleet tracer -- and records per-scenario
 availability plus the measured telemetry overhead in
-``BENCH_campaign.json`` next to this file.  Sample traces land in
-``benchmarks/telemetry_sample/`` so CI can publish one as an artifact.
+``BENCH_campaign.json`` next to this file.  The sample trace (per-shard
+sidecars merged into ``fleet_trace.jsonl``) lands in
+``benchmarks/telemetry_sample/`` so CI can publish it as an artifact.
 
 Two invariants are enforced:
 
@@ -19,7 +20,9 @@ Two invariants are enforced:
 """
 
 import json
+import shutil
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,10 +31,11 @@ from repro.resilience.campaign import (
     CampaignConfig,
     PFMFaultScenario,
     _train_models,
+    campaign_specs,
     run_campaign,
 )
-from repro.core.experiment import DEFAULT_VARIABLES
 from repro.telemetry.hub import NULL_HUB
+from repro.telemetry.tracing import read_merged_trace
 
 ARTIFACT = Path(__file__).with_name("BENCH_campaign.json")
 SAMPLE_DIR = Path(__file__).with_name("telemetry_sample")
@@ -87,18 +91,19 @@ def _disabled_cycle_cost(iterations: int = 20_000) -> float:
 
 @pytest.mark.slow
 def test_bench_campaign_telemetry_overhead(benchmark):
-    variables = list(DEFAULT_VARIABLES)
     plain_config = _config()
-    trained = _train_models(plain_config, variables)
+    trained = _train_models(campaign_specs(plain_config)[1])
 
     plain = benchmark.pedantic(
         lambda: run_campaign(plain_config, trained=trained),
         rounds=1,
         iterations=1,
     )
+    shutil.rmtree(SAMPLE_DIR, ignore_errors=True)
     instrumented = run_campaign(
-        _config(telemetry_dir=str(SAMPLE_DIR)), trained=trained
+        _config(telemetry=True), trained=trained, trace_dir=str(SAMPLE_DIR)
     )
+    traced = Counter(record["lane"] for record in read_merged_trace(str(SAMPLE_DIR)))
 
     # Observation must not perturb the experiment: identical faultload,
     # identical outcomes.
@@ -107,11 +112,11 @@ def test_bench_campaign_telemetry_overhead(benchmark):
         [instrumented.healthy, *instrumented.attacked],
         strict=True,
     ):
-        assert on.availability == off.availability, off.scenario.name
+        assert on.availability == off.availability, off.spec.scenario
         assert on.failures == off.failures
         assert on.mea_iterations == off.mea_iterations
         assert on.telemetry_events > 0
-        assert Path(on.trace_path).exists()
+        assert traced[on.spec.key()] == on.telemetry_events
 
     wall_off = sum(
         r.wall_seconds for r in [plain.healthy, *plain.attacked]
@@ -132,7 +137,7 @@ def test_bench_campaign_telemetry_overhead(benchmark):
             "horizon_days": HORIZON / 86_400.0,
             "seed": SEED,
             "seeds": plain.seeds,
-            "scenarios": [r.scenario.name for r in [plain.healthy, *plain.attacked]],
+            "scenarios": [r.spec.scenario for r in [plain.healthy, *plain.attacked]],
             # run_campaign rides the fleet runner; injected pre-trained
             # models force the serial backend (see run_campaign docs).
             "backend": "fleet-serial",
@@ -140,7 +145,7 @@ def test_bench_campaign_telemetry_overhead(benchmark):
         "availability": {
             "no_pfm_baseline": plain.baseline_availability,
             **{
-                r.scenario.name: r.availability
+                r.spec.scenario: r.availability
                 for r in [plain.healthy, *plain.attacked]
             },
         },
@@ -151,7 +156,7 @@ def test_bench_campaign_telemetry_overhead(benchmark):
             "disabled_per_cycle_us": per_cycle * 1e6,
             "disabled_overhead_pct": 100.0 * disabled_overhead,
             "events_per_scenario": {
-                r.scenario.name: r.telemetry_events
+                r.spec.scenario: r.telemetry_events
                 for r in [instrumented.healthy, *instrumented.attacked]
             },
         },

@@ -8,13 +8,14 @@ Eq. 14 prediction of ~0.44-0.49.
 
 
 from repro.core import run_closed_loop
+from repro.fleet import RunSpec
 from repro.reliability import PFMParameters, unavailability_ratio
 
 
 def test_bench_closed_loop_vs_model(benchmark):
     result = benchmark.pedantic(
         run_closed_loop,
-        kwargs={"train_seed": 11, "eval_seed": 23, "horizon": 3 * 86_400.0},
+        args=(RunSpec(train_seed=11, eval_seed=23, horizon=3 * 86_400.0),),
         rounds=1,
         iterations=1,
     )

@@ -9,11 +9,12 @@ the failure log, together with whether a countermeasure ran.
 import pytest
 
 from repro.core import run_closed_loop
+from repro.fleet import RunSpec
 
 
 @pytest.fixture(scope="module")
 def closed_loop_result():
-    return run_closed_loop(train_seed=11, eval_seed=21, horizon=3 * 86_400.0)
+    return run_closed_loop(RunSpec(train_seed=11, eval_seed=21, horizon=3 * 86_400.0))
 
 
 def test_bench_table1_behaviour_matrix(benchmark, closed_loop_result):

@@ -13,12 +13,14 @@ Run:  python examples/proactive_recovery.py       (takes ~1 minute)
 """
 
 from repro.core import run_closed_loop
+from repro.fleet import RunSpec
 from repro.reliability import PFMParameters, unavailability_ratio
 
 
 def main() -> None:
     print("Training a predictor and replaying one faultload with/without PFM...")
-    result = run_closed_loop(train_seed=11, eval_seed=21, horizon=3 * 86_400.0)
+    spec = RunSpec(train_seed=11, eval_seed=21, horizon=3 * 86_400.0)
+    result = run_closed_loop(spec)
 
     print("\n=== Closed-loop result ===")
     print(result.summary())

@@ -64,9 +64,11 @@ def _cmd_curves(args: argparse.Namespace) -> None:
 
 
 def _cmd_case_study(args: argparse.Namespace) -> None:
+    from repro.core.experiment import DEFAULT_VARIABLES
     from repro.prediction.evaluation import (
         chronological_split,
-        report_from_scores,
+        evaluate_event_predictor,
+        evaluate_symptom_predictor,
         split_sequences,
     )
     from repro.prediction.hsmm import HSMMPredictor
@@ -77,17 +79,12 @@ def _cmd_case_study(args: argparse.Namespace) -> None:
     )
     from repro.telecom import DatasetConfig, generate_dataset
 
-    variables = [
-        "cpu_utilization", "memory_free_mb", "swap_activity", "max_stretch",
-        "response_time_ms", "error_rate", "violation_prob", "db_utilization",
-        "request_rate",
-    ]
     print(f"simulating {args.days:g} days of SCP operation...")
     dataset = generate_dataset(
         DatasetConfig(horizon=args.days * 86_400.0, seed=args.seed)
     )
     print(f"failures: {len(dataset.failure_log)}  errors: {len(dataset.error_log)}")
-    grid, x, y_avail, y_fail = dataset.ubf_samples(variables=variables)
+    grid, x, y_avail, y_fail = dataset.ubf_samples(variables=DEFAULT_VARIABLES)
     train, test = chronological_split(grid, fraction=0.6)
     ubf = UBFPredictor(
         network=UBFNetwork(n_kernels=10, max_opt_iter=25, rng=np.random.default_rng(0)),
@@ -95,22 +92,15 @@ def _cmd_case_study(args: argparse.Namespace) -> None:
             n_rounds=8, samples_per_round=10, rng=np.random.default_rng(1)
         ),
     )
-    ubf.fit_samples(x[train], y_avail[train])
-    ubf_report = report_from_scores(
-        "UBF",
-        ubf.score_samples(x[train]), y_fail[train],
-        ubf.score_samples(x[test]), y_fail[test],
+    ubf_report = evaluate_symptom_predictor(
+        ubf, x[train], y_avail[train], y_fail[train], x[test], y_fail[test], "UBF"
     )
     cutoff = float(grid[train][-1])
     failure_seqs, nonfailure_seqs = dataset.error_sequences()
     train_f, test_f = split_sequences(failure_seqs, cutoff)
     train_n, test_n = split_sequences(nonfailure_seqs, cutoff)
-    hsmm = HSMMPredictor(max_iter=10, seed=3)
-    hsmm.fit_sequences(train_f, train_n)
-    train_scores, train_labels = hsmm._score_labeled(train_f, train_n)
-    test_scores, test_labels = hsmm._score_labeled(test_f, test_n)
-    hsmm_report = report_from_scores(
-        "HSMM", train_scores, train_labels, test_scores, test_labels
+    hsmm_report = evaluate_event_predictor(
+        HSMMPredictor(max_iter=10, seed=3), train_f, train_n, test_f, test_n, "HSMM"
     )
     print("paper HSMM: precision=0.700 recall=0.620 fpr=0.016 AUC=0.873")
     print("paper UBF : AUC=0.846")
@@ -129,8 +119,7 @@ def _cmd_closed_loop(args: argparse.Namespace) -> None:
         eval_seed=args.eval_seed,
         horizon=args.days * 86_400.0,
     )
-    result = run_closed_loop(spec=spec)
-    print(result.summary())
+    print(run_closed_loop(spec).summary())
 
 
 def _parse_predictor_spec(raw: str) -> dict:
@@ -275,13 +264,14 @@ def _cmd_campaign(args: argparse.Namespace) -> None:
             scenarios=scenarios,
             attack_mtbf=args.attack_mtbf,
             attack_duration=args.attack_duration,
-            telemetry=args.telemetry,
-            telemetry_dir=args.telemetry_dir,
+            # A trace of uninstrumented shards would be empty.
+            telemetry=args.telemetry or args.trace_dir is not None,
         ),
         backend=args.backend,
         workers=args.workers,
         ledger_path=args.ledger,
         artifact_store=args.artifact_store,
+        trace_dir=args.trace_dir,
     )
     if args.json:
         print(report.to_json())
@@ -291,6 +281,7 @@ def _cmd_campaign(args: argparse.Namespace) -> None:
 
 def _cmd_trace(args: argparse.Namespace) -> None:
     from repro.core import run_closed_loop
+    from repro.fleet import RunSpec
     from repro.telemetry import (
         TelemetryHub,
         export_jsonl,
@@ -299,12 +290,13 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     )
 
     hub = TelemetryHub()
-    result = run_closed_loop(
+    spec = RunSpec(
+        seed=args.train_seed,
         train_seed=args.train_seed,
         eval_seed=args.eval_seed,
         horizon=args.days * 86_400.0,
-        telemetry=hub,
     )
+    result = run_closed_loop(spec, telemetry=hub)
     os.makedirs(args.out, exist_ok=True)
     trace_path = os.path.join(args.out, "trace.jsonl")
     n_events = export_jsonl(hub, trace_path)
@@ -591,10 +583,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="instrument every PFM run (spans, events, quality gauges)",
     )
     campaign.add_argument(
-        "--telemetry-dir",
+        "--trace-dir",
         default=None,
-        help="write one JSONL trace per scenario into this directory "
-        "(implies --telemetry)",
+        metavar="DIR",
+        help="fleet tracing of the scenario shards: per-shard JSONL "
+        "sidecars merged into DIR/fleet_trace.jsonl, renderable with "
+        "`report --trace-dir` (implies --telemetry)",
     )
     campaign.add_argument(
         "--backend",

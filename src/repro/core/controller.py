@@ -40,9 +40,9 @@ from repro.actions.restart import PreventiveRestartAction
 from repro.actions.selection import ActionSelector, SelectionContext
 from repro.core.mea import EvaluationResult, MEACycle
 from repro.errors import ConfigurationError
+from repro.monitoring.logbook import error_window
 from repro.prediction.base import SymptomPredictor
 from repro.prediction.calibration import PlattScaling
-from repro.prediction.online import OnlineEventScorer
 from repro.resilience.escalation import EscalationChain
 from repro.resilience.fallback import FallbackPredictor
 from repro.resilience.policies import CircuitBreaker, RetryPolicy, StepTimeout
@@ -86,7 +86,6 @@ class PFMController:
     repertoire: list[Action] = field(default_factory=default_repertoire)
     failure_cost: float = 12.0
     cooldown: float = 120.0
-    event_scorer: OnlineEventScorer | None = None
     warnings: list[WarningEpisode] = field(default_factory=list)
     evaluations: list[tuple[float, float, bool]] = field(default_factory=list)
     # --- resilience layer ---------------------------------------------
@@ -162,10 +161,6 @@ class PFMController:
         # get the same hub so the hot path shows up in the span profile.
         if hasattr(self.predictor, "telemetry"):
             self.predictor.telemetry = self.telemetry
-        if self.event_scorer is not None and hasattr(
-            self.event_scorer.predictor, "telemetry"
-        ):
-            self.event_scorer.predictor.telemetry = self.telemetry
         # A fused panel (Noisy-OR arbitrator) may sit behind wrapper
         # layers (fault-injection proxies); find the innermost
         # object that owns the arbitration seams and wire them up.  The
@@ -254,19 +249,14 @@ class PFMController:
     def _live_windows(self, n: int) -> list:
         """``n`` copies of the error window ending now (arbitration seam).
 
-        Mirrors :meth:`OnlineEventScorer.window_at`, so a panel's event
-        members see exactly the window shape they were calibrated on.
+        The same :func:`~repro.monitoring.logbook.error_window` a panel's
+        event members were calibrated on.
         """
-        from repro.monitoring.records import EventSequence
-
-        now = self.system.engine.now
-        records = self.system.error_log.window(now - self.data_window, now)[
-            -self.max_window_events :
-        ]
-        window = EventSequence(
-            times=[r.time for r in records],
-            message_ids=[r.message_id for r in records],
-            origin=now - self.data_window,
+        window = error_window(
+            self.system.error_log,
+            self.system.engine.now,
+            self.data_window,
+            self.max_window_events,
         )
         return [window] * n
 
@@ -332,16 +322,6 @@ class PFMController:
             confidence = self.fallback_confidence
         else:
             confidence = 0.0
-        # Multi-source fusion (blueprint, Sect. 6): an event-based
-        # predictor over the live error log can raise the warning too;
-        # confidences combine as max (either source suffices to act).
-        if self.event_scorer is not None:
-            event_prediction = self.event_scorer.score_at(
-                self.system.error_log, self.system.engine.now
-            )
-            if event_prediction.warning:
-                warning = True
-                confidence = max(confidence, 0.8)
         now = self.system.engine.now
         self.evaluations.append((now, score, warning))
         self.quality.record(now, warning)

@@ -17,7 +17,7 @@ import numpy as np
 from repro.actions.checkpoint import PreparedRepairAction, RepairBreakdown
 from repro.core.controller import PFMController
 from repro.fleet.spec import RunSpec
-from repro.prediction.base import SymptomPredictor
+from repro.prediction.base import SymptomPredictor, TrainingData
 from repro.prediction.registry import make_predictor
 from repro.simulator.events import Timeout
 from repro.telecom.dataset import DatasetConfig, prepare_simulation
@@ -79,14 +79,54 @@ class ClosedLoopResult:
         return "\n".join(lines)
 
 
-def _default_predictor(rng: np.random.Generator) -> SymptomPredictor:
-    """A fast UBF configuration for the online controller.
+def resolve_spec(spec: RunSpec) -> tuple[list[str], DatasetConfig, DatasetConfig]:
+    """The monitored variables and the train and eval datasets of ``spec``.
 
-    Thin wrapper over the declarative registry — ``"ubf"`` with its
-    defaults IS this configuration, so fleet grids naming ``ubf``
-    reproduce historical closed-loop runs exactly.
+    ``options["dataset"]`` (a :class:`DatasetConfig` or a dict of its
+    fields) is the base configuration, and the spec's train / eval seeds
+    and horizon replace its own.  The closed loop, the fleet's closed-loop
+    shard and the campaign's shards all resolve a spec here, so one spec
+    gives one answer in every mode.
     """
-    return make_predictor("ubf", rng=rng)
+    seeds = spec.seeds()
+    base = spec_dataset(spec)
+    return (
+        list(spec.variables or DEFAULT_VARIABLES),
+        replace(base, seed=seeds["train"], horizon=spec.horizon),
+        replace(base, seed=seeds["eval"], horizon=spec.horizon),
+    )
+
+
+def spec_dataset(spec: RunSpec) -> DatasetConfig:
+    """The base dataset configuration ``spec`` names (seeds not applied)."""
+    base = spec.option("dataset")
+    if base is None:
+        return DatasetConfig()
+    if isinstance(base, dict):
+        return DatasetConfig(**base)
+    return base
+
+
+def simulate_and_train(
+    config: DatasetConfig,
+    variables: list[str] | None = None,
+    predictor: SymptomPredictor | None = None,
+) -> tuple[SymptomPredictor, np.ndarray, TrainingData]:
+    """:func:`train_predictor`, also returning the training bundle."""
+    variables = variables or DEFAULT_VARIABLES
+    dataset = prepare_simulation(config).run()
+    if predictor is None:
+        predictor = make_predictor("ubf", rng=np.random.default_rng(config.seed))
+    consumes = getattr(predictor, "consumes", frozenset({"samples"}))
+    data = dataset.training_data(
+        variables=variables,
+        consumes=consumes,
+        rng=np.random.default_rng(config.seed + 917),
+    )
+    predictor.fit(data)
+    scores = predictor.score_batch(data.batch())
+    predictor.calibrate_threshold(scores, data.labels)
+    return predictor, scores, data
 
 
 def train_predictor(
@@ -100,23 +140,29 @@ def train_predictor(
     training bundle carries whichever views the predictor declares it
     consumes (feature samples, event sequences, or — for a mixed
     arbitration panel — both), scores come from the aligned calibration
-    batch, and the warning threshold is set at the max-F point.
+    batch, and the warning threshold is set at the max-F point.  Without
+    a ``predictor``, the registry's ``"ubf"`` seeded from ``config.seed``
+    is trained.
 
     Returns ``(predictor, training_scores)``.
     """
-    variables = variables or DEFAULT_VARIABLES
-    dataset = prepare_simulation(config).run()
-    predictor = predictor or _default_predictor(np.random.default_rng(config.seed))
-    consumes = getattr(predictor, "consumes", frozenset({"samples"}))
-    data = dataset.training_data(
-        variables=variables,
-        consumes=consumes,
-        rng=np.random.default_rng(config.seed + 917),
-    )
-    predictor.fit(data)
-    scores = predictor.score_batch(data.batch())
-    predictor.calibrate_threshold(scores, data.labels)
+    predictor, scores, _ = simulate_and_train(config, variables, predictor)
     return predictor, scores
+
+
+def train_spec(spec: RunSpec) -> tuple[SymptomPredictor, np.ndarray]:
+    """:func:`train_predictor` on the training dataset ``spec`` resolves to.
+
+    The predictor is the one ``spec`` names, built by
+    :func:`repro.prediction.make_predictor` and seeded from the train seed.
+    """
+    variables, train_config, _ = resolve_spec(spec)
+    predictor = make_predictor(
+        spec.predictor,
+        rng=np.random.default_rng(train_config.seed),
+        **spec.params(),
+    )
+    return train_predictor(train_config, variables, predictor)
 
 
 @dataclass
@@ -251,24 +297,18 @@ def measure_repair_improvement(
 
 
 def run_closed_loop(
-    train_seed: int = 11,
-    eval_seed: int = 21,
-    horizon: float = 4 * 86_400.0,
-    variables: list[str] | None = None,
-    predictor: SymptomPredictor | None = None,
-    config: DatasetConfig | None = None,
+    spec: RunSpec,
+    *,
     trained: tuple[SymptomPredictor, np.ndarray] | None = None,
     telemetry=None,
-    spec: RunSpec | None = None,
 ) -> ClosedLoopResult:
     """Train, then compare baseline vs PFM on an identical faultload.
 
-    A :class:`~repro.fleet.spec.RunSpec` is the preferred way to describe
-    the run: ``run_closed_loop(spec=RunSpec(seed=21, horizon=86_400.0))``
-    resolves seeds, horizon, variables and the predictor (through
-    :func:`repro.prediction.make_predictor`) from the spec; the legacy
-    keyword arguments remain for existing callers and must not be mixed
-    with a spec.
+    ``spec`` (a :class:`~repro.fleet.spec.RunSpec`) describes the run:
+    ``run_closed_loop(RunSpec(seed=11, eval_seed=21, horizon=86_400.0))``.
+    Its seeds, horizon, variables and ``options["dataset"]`` resolve
+    through :func:`resolve_spec`, and its predictor trains through
+    :func:`train_spec`.
 
     Pass ``trained = (fitted_predictor, training_scores)`` to skip the
     training simulation (the fleet's shared training cache does).  Pass a
@@ -277,30 +317,8 @@ def run_closed_loop(
     hub is finalized (pending predictions settled, ``run.end`` emitted)
     before this returns.
     """
-    if spec is not None:
-        seeds = spec.seeds()
-        train_seed = seeds["train"]
-        eval_seed = seeds["eval"]
-        horizon = spec.horizon
-        if spec.variables is not None:
-            variables = list(spec.variables)
-        if predictor is None and trained is None:
-            predictor = make_predictor(
-                spec.predictor,
-                rng=np.random.default_rng(train_seed),
-                **spec.params(),
-            )
-    variables = variables or DEFAULT_VARIABLES
-    base_config = config or DatasetConfig()
-    train_config = replace(base_config, seed=train_seed, horizon=horizon)
-    eval_config = replace(base_config, seed=eval_seed, horizon=horizon)
-
-    if trained is not None:
-        predictor, training_scores = trained
-    else:
-        predictor, training_scores = train_predictor(
-            train_config, variables, predictor
-        )
+    variables, train_config, eval_config = resolve_spec(spec)
+    predictor, training_scores = trained if trained is not None else train_spec(spec)
 
     # Baseline run: same faultload, no PFM.
     baseline = prepare_simulation(eval_config).run()
@@ -320,9 +338,9 @@ def run_closed_loop(
     controller.calibrate_confidence(training_scores)
     hub.emit(
         "run.start",
-        train_seed=train_seed,
-        eval_seed=eval_seed,
-        horizon=horizon,
+        train_seed=train_config.seed,
+        eval_seed=eval_config.seed,
+        horizon=spec.horizon,
     )
     controller.start()
     pfm_dataset = pfm_sim.run()

@@ -189,7 +189,6 @@ def run_fleet(
     ledger_path: str | None = None,
     progress=None,
     artifact_store: ArtifactStore | str | None = None,
-    prewarm: bool = True,
     chunk_size: int | None = None,
     retry: RetryPolicy | None = None,
     retry_failed: bool = False,
@@ -226,11 +225,6 @@ def run_fleet(
         for shared trained-model artifacts.  Enables the pre-warm pass
         and worker-side artifact loading; omit to keep the historical
         train-per-process behavior.
-    prewarm:
-        With an ``artifact_store``, train each unique training
-        configuration once in this process before fan-out (default).
-        Set ``False`` to let workers train-and-publish on first miss
-        instead (first-come duplication, but no up-front serial phase).
     chunk_size:
         Shards per submitted chunk; default
         :func:`default_chunk_size` (``workers * CHUNK_WAVES`` chunks).
@@ -617,7 +611,7 @@ def run_fleet(
 
     try:
         configure_artifact_store(store)
-        if store is not None and prewarm and pending:
+        if store is not None and pending:
             prewarm_stats = prewarm_training(pending, store)
         if pending:
             _supervise()

@@ -9,12 +9,17 @@ the serial run: no shard reads state another shard wrote.
 
 Scenario dispatch is by name:
 
-- ``closed-loop`` — train, then replay one faultload with and without the
-  PFM controller (the :func:`repro.core.run_closed_loop` experiment);
+- ``closed-loop`` — fetch the cached model, then call
+  :func:`repro.core.run_closed_loop` with the spec, which replays one
+  faultload with and without the PFM controller;
 - everything else is routed to the PFM fault-injection campaign
   (:func:`repro.resilience.campaign.run_scenario_spec`): ``no-pfm``,
   ``healthy-pfm``, and any attacked scenario whose attack surfaces are
   carried in ``spec.options["attacks"]``.
+
+Both resolve a spec's variables and datasets through
+:func:`repro.core.experiment.resolve_spec`, so a shard and a direct call
+of the same spec give the same answer.
 
 Custom workloads plug in via :func:`register_scenario_runner`.
 """
@@ -23,8 +28,6 @@ from __future__ import annotations
 
 import time
 from typing import Callable
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.fleet.spec import CLOSED_LOOP, RunResult, RunSpec
@@ -95,82 +98,39 @@ def register_scenario_runner(
     _RUNNERS[name] = runner
 
 
-def _closed_loop_dataset(spec: RunSpec):
-    from repro.telecom.dataset import DatasetConfig
-
-    base = spec.option("dataset")
-    if base is None:
-        base = DatasetConfig()
-    elif isinstance(base, dict):
-        base = DatasetConfig(**base)
-    return base
-
-
 def _closed_loop_training_plan(spec: RunSpec):
     """``(train_key, builder)`` for a closed-loop shard.
 
     Shared by the in-shard training path and the fleet's pre-warm pass,
     so both address the identical cache/artifact entry.
     """
-    from dataclasses import replace as dc_replace
-
     from repro.core import experiment
-    from repro.prediction.registry import make_predictor
 
-    seeds = spec.seeds()
-    variables = (
-        list(spec.variables) if spec.variables else list(experiment.DEFAULT_VARIABLES)
-    )
-    base = _closed_loop_dataset(spec)
-    train_config = dc_replace(base, seed=seeds["train"], horizon=spec.horizon)
-
+    variables, train_config, _ = experiment.resolve_spec(spec)
     train_key = (
         CLOSED_LOOP,
         spec.predictor,
         spec.predictor_params,
-        seeds["train"],
+        train_config.seed,
         spec.horizon,
         tuple(variables),
-        repr(base),
+        repr(experiment.spec_dataset(spec)),
     )
-
-    def _train():
-        predictor = make_predictor(
-            spec.predictor,
-            rng=np.random.default_rng(seeds["train"]),
-            **spec.params(),
-        )
-        return experiment.train_predictor(train_config, variables, predictor)
-
-    return train_key, _train
+    return train_key, lambda: experiment.train_spec(spec)
 
 
 def _closed_loop_runner(spec: RunSpec) -> RunResult:
-    from repro.core import experiment
+    from repro.core.experiment import run_closed_loop
     from repro.telemetry.hub import TelemetryHub
 
-    seeds = spec.seeds()
-    variables = (
-        list(spec.variables) if spec.variables else list(experiment.DEFAULT_VARIABLES)
-    )
-    base = _closed_loop_dataset(spec)
     trained = cached_training(*_closed_loop_training_plan(spec))
-
     hub = TelemetryHub() if spec.telemetry else None
     if hub is not None:
         from repro.telemetry.tracing import announce_shard_hub
 
         announce_shard_hub(hub)
     wall_start = time.perf_counter()
-    result = experiment.run_closed_loop(
-        train_seed=seeds["train"],
-        eval_seed=seeds["eval"],
-        horizon=spec.horizon,
-        variables=variables,
-        config=base,
-        trained=trained,
-        telemetry=hub,
-    )
+    result = run_closed_loop(spec, trained=trained, telemetry=hub)
     wall_seconds = time.perf_counter() - wall_start
 
     return RunResult(

@@ -1,22 +1,24 @@
 """The unified run description: one :class:`RunSpec` per shard.
 
-Every entry point used to grow its own kwarg list (``train_seed=...,
-eval_seed=..., horizon=...`` on :func:`repro.core.run_closed_loop`, a
-mutable :class:`~repro.resilience.campaign.CampaignConfig` on the
-campaign, argparse flags on the CLI).  The fleet API collapses them into
-one frozen value object:
+A spec is the only description of a closed-loop or campaign run:
+:func:`repro.core.run_closed_loop` takes one, the campaign turns its
+:class:`~repro.resilience.campaign.CampaignConfig` into a grid of them,
+and the CLI builds them from its flags.  It is one frozen value object:
 
 - a **scenario** name selecting what kind of run a shard performs
   (``closed-loop``, ``no-pfm``, ``healthy-pfm``, or any PFM attack
   scenario from :func:`repro.resilience.campaign.default_scenarios`),
 - one **master seed** from which the train / eval / injection seeds are
-  derived exactly as :class:`~repro.resilience.campaign.CampaignConfig`
-  derives them (``seed``, ``seed + 1000``, ``seed + 2000``), with
-  optional explicit overrides for designs that share a training seed
-  across evaluation faultloads,
+  derived (``seed``, ``seed + EVAL_SEED_OFFSET``,
+  ``seed + INJECTION_SEED_OFFSET``), with optional explicit overrides for
+  designs that share a training seed across evaluation faultloads,
 - a declarative **predictor** name resolved through
   :func:`repro.prediction.make_predictor`, plus its parameters,
-- the **horizon** and **telemetry** flags.
+- the **horizon** and **telemetry** flags, and scenario **options**
+  (``options["dataset"]`` is the base
+  :class:`~repro.telecom.dataset.DatasetConfig`; every runner resolves
+  it, with the seeds and horizon, through
+  :func:`repro.core.experiment.resolve_spec`).
 
 Specs are hashable, picklable and JSON-round-trippable; :meth:`RunSpec.key`
 is the stable identity used by the shard ledger to decide, on resume,
@@ -34,7 +36,7 @@ from repro.errors import ConfigurationError
 #: Hashable form of a parameter mapping: sorted ``(name, value)`` pairs.
 ParamSet = tuple[tuple[str, object], ...]
 
-#: Offsets of the master-seed derivation (mirrors ``CampaignConfig``).
+#: Offsets of the master-seed derivation (``CampaignConfig`` uses them too).
 EVAL_SEED_OFFSET = 1000
 INJECTION_SEED_OFFSET = 2000
 
@@ -151,10 +153,6 @@ class RunSpec:
             if key == name:
                 return _jsonable(value)
         return default
-
-    def option_dict(self) -> dict[str, object]:
-        """All scenario options as a plain dict."""
-        return {k: _jsonable(v) for k, v in self.options}
 
     def key(self) -> str:
         """Stable shard identity: readable prefix + content digest.

@@ -12,6 +12,7 @@ from collections import Counter
 from typing import Iterator
 
 from repro.faults.model import ErrorRecord, FailureRecord
+from repro.monitoring.records import EventSequence
 
 
 class ErrorLog:
@@ -94,3 +95,21 @@ class FailureLog:
     @property
     def records(self) -> list[FailureRecord]:
         return list(self._records)
+
+
+def error_window(
+    log: ErrorLog, end: float, length: float, max_events: int = 200
+) -> EventSequence:
+    """The error sequence of ``[end - length, end)``: the last ``max_events``.
+
+    The one window shape event predictors see, whether calibrated on a
+    recorded trace (``TelecomDataset.panel_sequences``) or scored live
+    (``OnlineEventScorer``, the controller's arbitration window).
+    """
+    start = end - length
+    records = log.window(start, end)[-max_events:]
+    return EventSequence(
+        times=[r.time for r in records],
+        message_ids=[r.message_id for r in records],
+        origin=start,
+    )

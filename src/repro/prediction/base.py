@@ -183,18 +183,6 @@ class TrainingData:
         """The symptom-monitoring bundle: features + target (+ labels)."""
         return cls(x=x, y=y, labels=labels)
 
-    @classmethod
-    def from_sequences(
-        cls,
-        failure_sequences: list[EventSequence],
-        nonfailure_sequences: list[EventSequence],
-    ) -> "TrainingData":
-        """The detected-error bundle: class-separated sequence sets."""
-        return cls(
-            failure_sequences=list(failure_sequences),
-            nonfailure_sequences=list(nonfailure_sequences),
-        )
-
     def sequence_classes(self) -> tuple[list[EventSequence], list[EventSequence]]:
         """``(failure, nonfailure)`` sequences for event-predictor training.
 

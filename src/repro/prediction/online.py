@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.monitoring.logbook import ErrorLog
+from repro.monitoring.logbook import ErrorLog, error_window
 from repro.monitoring.records import EventSequence
 from repro.prediction.base import EventPredictor, Prediction
 
@@ -37,12 +37,7 @@ class OnlineEventScorer:
 
     def window_at(self, log: ErrorLog, now: float) -> EventSequence:
         """The error sequence of the window ending at ``now``."""
-        records = log.window(now - self.data_window, now)[-self.max_events :]
-        return EventSequence(
-            times=[r.time for r in records],
-            message_ids=[r.message_id for r in records],
-            origin=now - self.data_window,
-        )
+        return error_window(log, now, self.data_window, self.max_events)
 
     def score_at(self, log: ErrorLog, now: float) -> Prediction:
         """One online prediction at time ``now``."""

@@ -197,9 +197,9 @@ def _make_ubf(
     select_variables: bool = True,
     **params,
 ):
-    # Defaults match the fast online configuration the closed-loop
-    # controller has used since PR 2 (`_default_predictor`), so naming
-    # "ubf" in a grid reproduces the historical runs exactly.
+    # Defaults are the fast online configuration the closed-loop
+    # controller trains when no predictor is named, so naming "ubf" in a
+    # grid reproduces the historical runs exactly.
     from repro.prediction.ubf.network import UBFNetwork
     from repro.prediction.ubf.predictor import UBFPredictor
     from repro.prediction.ubf.pwa import ProbabilisticWrapper

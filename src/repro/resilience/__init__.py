@@ -39,7 +39,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignReport",
     "PFMFaultScenario",
-    "ScenarioResult",
     "default_scenarios",
     "run_campaign",
 ]
@@ -48,7 +47,6 @@ _CAMPAIGN_EXPORTS = {
     "CampaignConfig",
     "CampaignReport",
     "PFMFaultScenario",
-    "ScenarioResult",
     "default_scenarios",
     "run_campaign",
 }

@@ -22,16 +22,20 @@ its benefit, but must never become the failure it was built to prevent.
 from __future__ import annotations
 
 import json
-import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from repro.core.controller import PFMController, default_repertoire
-from repro.core.experiment import DEFAULT_VARIABLES
+from repro.core.experiment import resolve_spec, simulate_and_train, spec_dataset
 from repro.errors import ConfigurationError
-from repro.fleet.spec import RunResult, RunSpec
+from repro.fleet.spec import (
+    EVAL_SEED_OFFSET,
+    INJECTION_SEED_OFFSET,
+    RunResult,
+    RunSpec,
+)
 from repro.faults.pfm_injectors import (
     ActionFailureInjector,
     FlakyPredictorProxy,
@@ -50,7 +54,6 @@ from repro.prediction.thresholds import max_f_threshold
 from repro.resilience.sanitizer import GaugeSanitizer
 from repro.telecom.dataset import DatasetConfig, prepare_simulation
 from repro.telemetry import events as tel_events
-from repro.telemetry.exporters import export_jsonl
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
 from repro.telemetry.tracing import announce_shard_hub
 
@@ -91,17 +94,15 @@ class PFMFaultScenario:
     predictor_latency: bool = False
     action_failures: bool = False
 
+    @classmethod
+    def surfaces(cls) -> tuple[str, ...]:
+        """Every attack-surface tag, in declaration order."""
+        return tuple(f.name for f in fields(cls) if f.name != "name")
+
     @property
     def attacks(self) -> tuple[str, ...]:
         """The attack-surface tags active in this scenario."""
-        flags = (
-            ("monitoring_dropout", self.monitoring_dropout),
-            ("observation_corruption", self.observation_corruption),
-            ("predictor_exceptions", self.predictor_exceptions),
-            ("predictor_latency", self.predictor_latency),
-            ("action_failures", self.action_failures),
-        )
-        return tuple(tag for tag, active in flags if active)
+        return tuple(tag for tag in self.surfaces() if getattr(self, tag))
 
 
 def default_scenarios() -> list[PFMFaultScenario]:
@@ -131,8 +132,8 @@ class CampaignConfig:
     eval_seed: int = 21
     injection_seed: int = 97
     #: Master seed: when set, the three seeds above are derived from it
-    #: (``seed``, ``seed + 1000``, ``seed + 2000``) so one ``--seed`` flag
-    #: reproduces the whole campaign.
+    #: exactly as :meth:`RunSpec.seeds` derives them, so one ``--seed``
+    #: flag reproduces the whole campaign.
     seed: int | None = None
     horizon: float = 2 * 86_400.0
     variables: list[str] | None = None
@@ -150,11 +151,9 @@ class CampaignConfig:
     #: Declared predictor latency during latency episodes; anything above
     #: the controller's evaluate budget (= lead time) triggers fallback.
     attack_latency: float = 1_800.0
-    #: Telemetry: when enabled, every PFM run gets its own hub; with a
-    #: ``telemetry_dir`` each scenario additionally writes a JSONL trace
-    #: ``trace_<scenario>.jsonl`` keyed by simulated time.
+    #: Telemetry: when enabled, every PFM run gets its own hub (traces
+    #: are written by ``run_campaign(trace_dir=...)``).
     telemetry: bool = False
-    telemetry_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.horizon <= 0:
@@ -163,11 +162,9 @@ class CampaignConfig:
             raise ConfigurationError("need at least one scenario")
         if self.seed is not None:
             self.train_seed = self.seed
-            self.eval_seed = self.seed + 1000
-            self.injection_seed = self.seed + 2000
+            self.eval_seed = self.seed + EVAL_SEED_OFFSET
+            self.injection_seed = self.seed + INJECTION_SEED_OFFSET
         self.predictor = normalize_predictor_spec(self.predictor)
-        if self.telemetry_dir is not None:
-            self.telemetry = True
 
     def seeds(self) -> dict[str, int]:
         """The resolved seeds actually used by this campaign."""
@@ -178,50 +175,24 @@ class CampaignConfig:
         }
 
 
-@dataclass
-class ScenarioResult:
-    """One PFM run (healthy or attacked) on the shared faultload."""
-
-    scenario: PFMFaultScenario
-    availability: float
-    failures: int
-    mea_iterations: int
-    warnings_raised: int
-    actions_taken: int
-    attack_episodes: int
-    resilience: dict
-    # --- telemetry (populated when the campaign ran with telemetry on) --
-    warning_episodes: int = 0
-    telemetry_events: int = 0
-    online_quality: dict = field(default_factory=dict)
-    trace_path: str | None = None
-    metrics_state: list | None = None
-    wall_seconds: float = 0.0
-    #: Training-time quality comparison of the primary (fused and, for an
-    #: ensemble, per member) against the secondary — see
-    #: :func:`_predictor_quality`.  Identical across rows of one campaign
-    #: (the models are trained once and shared).
-    predictor_quality: dict = field(default_factory=dict)
-
-    @property
-    def step_failures(self) -> int:
-        """Total MEA step failures surfaced as StepFailure records."""
-        return sum(self.resilience["step_failures"].values())
-
-    @property
-    def cycle_survived(self) -> bool:
-        """True when the MEA loop kept iterating (never died silently)."""
-        return self.mea_iterations > 0
+def _step_failures(result: RunResult) -> int:
+    """Total MEA step failures a PFM run surfaced as StepFailure records."""
+    return sum(result.resilience["step_failures"].values())
 
 
 @dataclass
 class CampaignReport:
-    """The graceful-degradation comparison across all scenarios."""
+    """The graceful-degradation comparison across all scenarios.
+
+    ``healthy`` and ``attacked`` are the PFM shards' own
+    :class:`~repro.fleet.spec.RunResult` records; each names its scenario
+    in ``result.spec.scenario``.
+    """
 
     baseline_availability: float
     baseline_failures: int
-    healthy: ScenarioResult
-    attacked: list[ScenarioResult]
+    healthy: RunResult
+    attacked: list[RunResult]
     horizon: float
     #: The resolved RNG seeds, echoed so any row can be reproduced.
     seeds: dict = field(default_factory=dict)
@@ -230,18 +201,22 @@ class CampaignReport:
 
     @property
     def predictor_quality(self) -> dict:
-        """Training-grid quality comparison (shared by every PFM row)."""
-        return self.healthy.predictor_quality
+        """Training-grid quality comparison (shared by every PFM row).
 
-    def graceful(self, result: ScenarioResult) -> bool:
+        The primary (fused and, for an ensemble, per member) against the
+        secondary -- see :func:`_predictor_quality`.
+        """
+        return self.healthy.artifacts.get("predictor_quality") or {}
+
+    def graceful(self, result: RunResult) -> bool:
         """Did this attacked run degrade gracefully?
 
-        The cycle must have survived to keep producing records, and the
-        attacked system must be at least as available as having no PFM at
-        all (tiny float tolerance: "no worse" must not fail on a 1e-12
-        rounding difference).
+        The cycle must have survived (kept iterating, so it kept
+        producing records), and the attacked system must be at least as
+        available as having no PFM at all (tiny float tolerance: "no
+        worse" must not fail on a 1e-12 rounding difference).
         """
-        return result.cycle_survived and (
+        return result.mea_iterations > 0 and (
             result.availability >= self.baseline_availability - 1e-9
         )
 
@@ -265,9 +240,9 @@ class CampaignReport:
         for result in [self.healthy, *self.attacked]:
             graceful = "-" if result is self.healthy else str(self.graceful(result))
             lines.append(
-                f"{result.scenario.name:<24s} {result.availability:7.4f} "
+                f"{result.spec.scenario:<24s} {result.availability:7.4f} "
                 f"{result.failures:5d} {result.warnings_raised:5d} "
-                f"{result.actions_taken:4d} {result.step_failures:8d} "
+                f"{result.actions_taken:4d} {_step_failures(result):8d} "
                 f"{result.resilience['fallback_scores']:8d} {graceful:>8s}"
             )
         lines.append(f"all attacked scenarios graceful: {self.all_graceful}")
@@ -299,12 +274,6 @@ class CampaignReport:
                     f"fused vs best single ({best['name']}): "
                     f"auc margin {margin:+.4f}"
                 )
-        for result in [self.healthy, *self.attacked]:
-            if result.trace_path:
-                lines.append(
-                    f"trace [{result.scenario.name}]: {result.trace_path} "
-                    f"({result.telemetry_events} events)"
-                )
         return "\n".join(lines)
 
     def to_json(self) -> str:
@@ -316,24 +285,23 @@ class CampaignReport:
         identical document.
         """
 
-        def row(result: ScenarioResult) -> dict:
+        def row(result: RunResult) -> dict:
             return {
-                "scenario": result.scenario.name,
-                "attacks": list(result.scenario.attacks),
+                "scenario": result.spec.scenario,
+                "attacks": list(_scenario_from_spec(result.spec).attacks),
                 "availability": result.availability,
                 "failures": result.failures,
                 "mea_iterations": result.mea_iterations,
                 "warnings_raised": result.warnings_raised,
                 "actions_taken": result.actions_taken,
                 "attack_episodes": result.attack_episodes,
-                "step_failures": result.step_failures,
-                "cycle_survived": result.cycle_survived,
+                "step_failures": _step_failures(result),
+                "cycle_survived": result.mea_iterations > 0,
                 "graceful": None if result is self.healthy else self.graceful(result),
                 "resilience": result.resilience,
                 "warning_episodes": result.warning_episodes,
                 "telemetry_events": result.telemetry_events,
                 "online_quality": result.online_quality,
-                "trace_path": result.trace_path,
                 "wall_seconds": result.wall_seconds,
             }
 
@@ -351,7 +319,7 @@ class CampaignReport:
                 "attacked": [
                     row(result)
                     for result in sorted(
-                        self.attacked, key=lambda r: r.scenario.name
+                        self.attacked, key=lambda r: r.spec.scenario
                     )
                 ],
                 "all_graceful": self.all_graceful,
@@ -361,33 +329,26 @@ class CampaignReport:
         )
 
 
-def _train_models(
-    config: CampaignConfig, variables: list[str]
-) -> tuple[object, object, np.ndarray, dict]:
-    """Fit the primary (per ``config.predictor``) and secondary (MSET).
+def _train_models(spec: RunSpec) -> tuple[object, object, np.ndarray, dict]:
+    """Fit the primary (per the spec's predictor) and secondary (MSET).
 
     Returns ``(primary, secondary, training_scores, quality)`` where
     ``quality`` is the :func:`_predictor_quality` comparison computed on
     the training grid (the only place all members, the fused score and
     the secondary are scored on the same aligned rows).
     """
-    base = config.dataset or DatasetConfig()
-    train_config = replace(base, seed=config.train_seed, horizon=config.horizon)
-    dataset = prepare_simulation(train_config).run()
-
-    rng = np.random.default_rng(config.train_seed)
-    primary = make_predictor(config.predictor, rng=rng)
-    data = dataset.training_data(
-        variables=variables,
-        consumes=getattr(primary, "consumes", frozenset({"samples"})),
-        rng=np.random.default_rng(config.train_seed + 917),
+    variables, train_config, _ = resolve_spec(spec)
+    primary, training_scores, data = simulate_and_train(
+        train_config,
+        variables,
+        make_predictor(
+            _config_from_spec(spec).predictor,
+            rng=np.random.default_rng(train_config.seed),
+        ),
     )
-    primary.fit(data)
-    training_scores = primary.score_batch(data.batch())
-    primary.calibrate_threshold(training_scores, data.labels)
 
     secondary = MSETPredictor(
-        n_exemplars=16, rng=np.random.default_rng(config.train_seed + 1)
+        n_exemplars=16, rng=np.random.default_rng(train_config.seed + 1)
     )
     secondary.fit_samples(data.x, data.y)
     secondary_scores = secondary.score_samples(data.x)
@@ -509,21 +470,18 @@ def _build_injectors(
     return injectors
 
 
-def _run_scenario(
-    scenario: PFMFaultScenario,
-    config: CampaignConfig,
-    variables: list[str],
-    primary,
-    secondary,
-    training_scores: np.ndarray,
-    quality: dict | None = None,
-) -> ScenarioResult:
-    """One PFM run on the evaluation faultload under this scenario's attacks."""
-    base = config.dataset or DatasetConfig()
-    eval_config = replace(base, seed=config.eval_seed, horizon=config.horizon)
+def _run_scenario(spec: RunSpec, trained: tuple) -> RunResult:
+    """One PFM run on the evaluation faultload under the spec's attacks.
+
+    ``trained`` is the :func:`_train_models` tuple.
+    """
+    primary, secondary, training_scores, quality = trained
+    variables, _, eval_config = resolve_spec(spec)
+    config = _config_from_spec(spec)
+    scenario = _scenario_from_spec(spec)
     sim = prepare_simulation(eval_config)
 
-    hub = TelemetryHub() if config.telemetry else NULL_HUB
+    hub = TelemetryHub() if spec.telemetry else NULL_HUB
     announce_shard_hub(hub)
     rng = np.random.default_rng(config.injection_seed)
     predictor_proxy = FlakyPredictorProxy(primary, rng)
@@ -547,7 +505,7 @@ def _run_scenario(
         tel_events.RUN_START,
         scenario=scenario.name,
         attacks=list(scenario.attacks),
-        horizon=config.horizon,
+        horizon=spec.horizon,
         **{f"{k}_seed": v for k, v in config.seeds().items()},
     )
     wall_start = time.perf_counter()
@@ -560,30 +518,21 @@ def _run_scenario(
         injector.stop()
     controller.finalize_telemetry()
 
-    trace_path = None
-    if config.telemetry_dir is not None:
-        os.makedirs(config.telemetry_dir, exist_ok=True)
-        trace_path = os.path.join(
-            config.telemetry_dir, f"trace_{scenario.name}.jsonl"
-        )
-        export_jsonl(hub, trace_path)
-
-    return ScenarioResult(
-        scenario=scenario,
+    return RunResult(
+        spec=spec,
         availability=dataset.system.sla.overall_availability(),
         failures=len(dataset.failure_log),
         mea_iterations=len(controller.mea.history),
         warnings_raised=controller.mea.warnings_raised,
+        warning_episodes=len(controller.warnings),
         actions_taken=controller.mea.actions_taken,
         attack_episodes=sum(injector.episodes for injector in injectors),
         resilience=controller.resilience_summary(),
-        warning_episodes=len(controller.warnings),
+        online_quality=controller.quality.summary() if spec.telemetry else {},
         telemetry_events=len(hub.events),
-        online_quality=controller.quality.summary() if config.telemetry else {},
-        trace_path=trace_path,
-        metrics_state=hub.registry.to_state() if config.telemetry else None,
+        metrics_state=hub.registry.to_state() if spec.telemetry else None,
+        artifacts={"predictor_quality": quality} if quality else {},
         wall_seconds=wall_seconds,
-        predictor_quality=quality or {},
     )
 
 
@@ -591,21 +540,9 @@ def _run_scenario(
 # Fleet integration: campaign scenarios as RunSpec shards
 # ----------------------------------------------------------------------
 
-#: Default episodic-attack knobs, mirrored from :class:`CampaignConfig`
-#: so a bare spec (no options) reproduces the default campaign exactly.
-_ATTACK_DEFAULTS = {
-    "attack_mtbf": 3_600.0,
-    "attack_duration": 1_200.0,
-    "attack_latency": 1_800.0,
-}
-
-_ATTACK_TAGS = (
-    "monitoring_dropout",
-    "observation_corruption",
-    "predictor_exceptions",
-    "predictor_latency",
-    "action_failures",
-)
+#: The episodic-attack knobs a spec's options carry; an absent knob keeps
+#: its :class:`CampaignConfig` default.
+_ATTACK_KNOBS = ("attack_mtbf", "attack_duration", "attack_latency")
 
 
 def known_scenario_names() -> list[str]:
@@ -636,10 +573,11 @@ def _scenario_from_spec(spec: RunSpec) -> PFMFaultScenario:
         return PFMFaultScenario(HEALTHY_PFM)
     attacks = spec.option("attacks")
     if attacks is not None:
-        unknown = [tag for tag in attacks if tag not in _ATTACK_TAGS]
+        valid = PFMFaultScenario.surfaces()
+        unknown = [tag for tag in attacks if tag not in valid]
         if unknown:
             raise ConfigurationError(
-                f"unknown attack surfaces {unknown}; valid: {list(_ATTACK_TAGS)}"
+                f"unknown attack surfaces {unknown}; valid: {list(valid)}"
             )
         return PFMFaultScenario(spec.scenario, **{tag: True for tag in attacks})
     for scenario in default_scenarios():
@@ -652,28 +590,29 @@ def _scenario_from_spec(spec: RunSpec) -> PFMFaultScenario:
 
 
 def _config_from_spec(spec: RunSpec) -> CampaignConfig:
-    """The CampaignConfig one shard runs under (seeds resolved by the spec)."""
+    """The CampaignConfig one shard runs under.
+
+    Seeds come from the spec, variables from
+    :func:`~repro.core.experiment.resolve_spec`, and the dataset, attack
+    knobs and predictor from its options.
+    """
     seeds = spec.seeds()
-    dataset = spec.option("dataset")
-    if isinstance(dataset, dict):
-        dataset = DatasetConfig(**dataset)
+    variables, _, _ = resolve_spec(spec)
+    knobs = {
+        name: spec.option(name)
+        for name in _ATTACK_KNOBS
+        if spec.option(name) is not None
+    }
     return CampaignConfig(
         train_seed=seeds["train"],
         eval_seed=seeds["eval"],
         injection_seed=seeds["injection"],
         horizon=spec.horizon,
-        variables=list(spec.variables) if spec.variables is not None else None,
-        dataset=dataset,
-        attack_mtbf=spec.option("attack_mtbf", _ATTACK_DEFAULTS["attack_mtbf"]),
-        attack_duration=spec.option(
-            "attack_duration", _ATTACK_DEFAULTS["attack_duration"]
-        ),
-        attack_latency=spec.option(
-            "attack_latency", _ATTACK_DEFAULTS["attack_latency"]
-        ),
+        variables=variables,
+        dataset=spec_dataset(spec),
         predictor=spec.option("predictor") or "ubf",
         telemetry=spec.telemetry,
-        telemetry_dir=spec.option("telemetry_dir"),
+        **knobs,
     )
 
 
@@ -705,13 +644,7 @@ def training_plan_for_spec(spec: RunSpec):
     """
     if spec.scenario == NO_PFM:
         return None  # the baseline replays the faultload untrained
-    config = _config_from_spec(spec)
-    variables = config.variables or list(DEFAULT_VARIABLES)
-
-    def _build():
-        return _train_models(config, variables)
-
-    return _train_key(spec), _build
+    return _train_key(spec), lambda: _train_models(spec)
 
 
 def campaign_specs(config: CampaignConfig | None = None) -> list[RunSpec]:
@@ -721,9 +654,7 @@ def campaign_specs(config: CampaignConfig | None = None) -> list[RunSpec]:
     """
     config = config or CampaignConfig()
     options: dict[str, object] = {
-        "attack_mtbf": config.attack_mtbf,
-        "attack_duration": config.attack_duration,
-        "attack_latency": config.attack_latency,
+        name: getattr(config, name) for name in _ATTACK_KNOBS
     }
     if config.dataset is not None:
         options["dataset"] = config.dataset
@@ -731,8 +662,6 @@ def campaign_specs(config: CampaignConfig | None = None) -> list[RunSpec]:
         # Only a non-default panel rides in the spec: bare-ubf campaigns
         # keep their historical shard keys (and ledger identities).
         options["predictor"] = config.predictor
-    if config.telemetry_dir is not None:
-        options["telemetry_dir"] = config.telemetry_dir
     common = {
         "seed": config.seed if config.seed is not None else config.train_seed,
         "train_seed": config.train_seed,
@@ -764,73 +693,20 @@ def run_scenario_spec(spec: RunSpec) -> RunResult:
     all; every other scenario trains (through the per-process cache) and
     runs the attacked / healthy PFM comparison.
     """
-    config = _config_from_spec(spec)
     if spec.scenario == NO_PFM:
-        base = config.dataset or DatasetConfig()
-        eval_config = replace(base, seed=config.eval_seed, horizon=config.horizon)
+        _, _, eval_config = resolve_spec(spec)
         wall_start = time.perf_counter()
         dataset = prepare_simulation(eval_config).run()
-        wall_seconds = time.perf_counter() - wall_start
         return RunResult(
             spec=spec,
             availability=dataset.system.sla.overall_availability(),
             failures=len(dataset.failure_log),
-            wall_seconds=wall_seconds,
+            wall_seconds=time.perf_counter() - wall_start,
         )
 
     from repro.fleet.shards import cached_training
 
-    variables = config.variables or list(DEFAULT_VARIABLES)
-    trained = cached_training(*training_plan_for_spec(spec))
-    scenario = _scenario_from_spec(spec)
-    result = _run_scenario(scenario, config, variables, *trained)
-    return RunResult(
-        spec=spec,
-        availability=result.availability,
-        failures=result.failures,
-        mea_iterations=result.mea_iterations,
-        warnings_raised=result.warnings_raised,
-        warning_episodes=result.warning_episodes,
-        actions_taken=result.actions_taken,
-        attack_episodes=result.attack_episodes,
-        resilience=result.resilience,
-        online_quality=result.online_quality,
-        telemetry_events=result.telemetry_events,
-        metrics_state=result.metrics_state,
-        artifacts=_shard_artifacts(result),
-        wall_seconds=result.wall_seconds,
-    )
-
-
-def _shard_artifacts(result: ScenarioResult) -> dict:
-    """JSON-able extras a campaign shard carries back through the fleet."""
-    artifacts: dict = {}
-    if result.trace_path:
-        artifacts["trace_path"] = result.trace_path
-    if result.predictor_quality:
-        artifacts["predictor_quality"] = result.predictor_quality
-    return artifacts
-
-
-def _scenario_result(scenario: PFMFaultScenario, result: RunResult) -> ScenarioResult:
-    """Fold a fleet shard result back into the campaign's report row."""
-    return ScenarioResult(
-        scenario=scenario,
-        availability=result.availability,
-        failures=result.failures,
-        mea_iterations=result.mea_iterations,
-        warnings_raised=result.warnings_raised,
-        actions_taken=result.actions_taken,
-        attack_episodes=result.attack_episodes,
-        resilience=result.resilience,
-        warning_episodes=result.warning_episodes,
-        telemetry_events=result.telemetry_events,
-        online_quality=result.online_quality,
-        trace_path=result.artifacts.get("trace_path"),
-        metrics_state=result.metrics_state,
-        wall_seconds=result.wall_seconds,
-        predictor_quality=result.artifacts.get("predictor_quality") or {},
-    )
+    return _run_scenario(spec, cached_training(*training_plan_for_spec(spec)))
 
 
 def run_campaign(
@@ -842,16 +718,22 @@ def run_campaign(
     ledger_path: str | None = None,
     artifact_store=None,
     progress=None,
+    trace_dir: str | None = None,
 ) -> CampaignReport:
     """Run the full graceful-degradation campaign.
 
-    The campaign now rides the fleet runner: every scenario (the no-PFM
+    The campaign rides the fleet runner: every scenario (the no-PFM
     baseline, healthy PFM, and each attacked run) is one self-contained
-    :class:`~repro.fleet.spec.RunSpec` shard.  The default ``serial``
-    backend trains once per process (via the shard training cache) and
-    reproduces the pre-fleet campaign bit-for-bit; ``backend="process"``
-    fans scenarios across workers, and ``ledger_path`` checkpoints
-    completed scenarios for resume.
+    :class:`~repro.fleet.spec.RunSpec` shard from :func:`campaign_specs`,
+    and the report holds the shards' own
+    :class:`~repro.fleet.spec.RunResult` records.  The default ``serial``
+    backend trains once per process (via the shard training cache);
+    ``backend="process"`` fans scenarios across workers, and
+    ``ledger_path`` checkpoints completed scenarios for resume.
+    ``trace_dir`` is handed to :func:`~repro.fleet.runner.run_fleet`,
+    which writes each shard's telemetry as a JSONL sidecar and merges
+    them into ``fleet_trace.jsonl`` there; it traces what the shards
+    record, so pair it with ``telemetry=True``.
 
     Pass ``trained = (primary, secondary, training_scores, quality)``
     (the tuple :func:`_train_models` returns) to skip training -- used by
@@ -876,20 +758,14 @@ def run_campaign(
         ledger_path=ledger_path,
         artifact_store=artifact_store,
         progress=progress,
+        trace_dir=trace_dir,
     )
     baseline = fleet.result_for(specs[0])
-    healthy = _scenario_result(
-        PFMFaultScenario(HEALTHY_PFM), fleet.result_for(specs[1])
-    )
-    attacked = [
-        _scenario_result(scenario, fleet.result_for(spec))
-        for scenario, spec in zip(config.scenarios, specs[2:], strict=True)
-    ]
     return CampaignReport(
         baseline_availability=baseline.availability,
         baseline_failures=baseline.failures,
-        healthy=healthy,
-        attacked=attacked,
+        healthy=fleet.result_for(specs[1]),
+        attacked=[fleet.result_for(spec) for spec in specs[2:]],
         horizon=config.horizon,
         seeds=config.seeds(),
         predictor=dict(config.predictor),

@@ -31,6 +31,7 @@ from repro.faults.injectors import (
     StateCorruptionInjector,
 )
 from repro.monitoring.collectors import PeriodicCollector
+from repro.monitoring.logbook import error_window
 from repro.monitoring.records import EventSequence
 from repro.monitoring.timeseries import TimeSeriesStore
 from repro.simulator.engine import Engine
@@ -172,27 +173,18 @@ class TelecomDataset:
     ) -> list[EventSequence]:
         """One error window per sampling instant, aligned with the grid.
 
-        Each sequence covers ``[t - data_window, t)`` — the same window
-        shape :class:`~repro.prediction.online.OnlineEventScorer` feeds a
-        live event predictor — so scores over these sequences line up row
+        Each sequence is :func:`~repro.monitoring.logbook.error_window` of
+        ``[t - data_window, t)`` — the window a live event predictor is
+        fed — so scores over these sequences line up row
         by row with :meth:`ubf_samples` features and labels.  This is the
         calibration view a mixed predictor panel trains its per-member
         calibrators on.
         """
-        cfg = self.config
         grid = self.sample_grid() if grid is None else np.asarray(grid, dtype=float)
-        log = self.error_log
-        sequences: list[EventSequence] = []
-        for t in grid:
-            records = log.window(t - cfg.data_window, t)[-max_events:]
-            sequences.append(
-                EventSequence(
-                    times=[r.time for r in records],
-                    message_ids=[r.message_id for r in records],
-                    origin=float(t) - cfg.data_window,
-                )
-            )
-        return sequences
+        return [
+            error_window(self.error_log, float(t), self.config.data_window, max_events)
+            for t in grid
+        ]
 
     def training_data(
         self,

@@ -34,7 +34,7 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
 )
 from repro.telemetry.rolling import RollingQualityTracker
-from repro.telemetry.sinks import JSONLSink, MemorySink, NullSink
+from repro.telemetry.sinks import MemorySink, NullSink
 from repro.telemetry.spans import NULL_SPAN, Span
 from repro.telemetry.tracing import (
     SupervisorRecorder,
@@ -62,7 +62,6 @@ __all__ = [
     "RollingQualityTracker",
     "NullSink",
     "MemorySink",
-    "JSONLSink",
     "export_jsonl",
     "read_jsonl",
     "prometheus_text",

@@ -1,17 +1,15 @@
 """Event sinks: where emitted telemetry goes.
 
-A sink is anything with ``write(event)``.  Three are provided:
+A sink is anything with ``write(event)``.  Two are provided:
 
 - :class:`NullSink` -- drops everything (the disabled-mode default),
-- :class:`MemorySink` -- buffers events in a list (tests, exporters),
-- :class:`JSONLSink` -- streams events to a JSON-lines file as they
-  happen, one ``{"t": ..., "event": ..., ...}`` object per line.
+- :class:`MemorySink` -- buffers events in a list (tests, exporters).
+
+Files are written after the run by the exporters
+(:func:`~repro.telemetry.exporters.export_jsonl`) and the fleet tracer.
 """
 
 from __future__ import annotations
-
-import json
-from pathlib import Path
 
 from repro.telemetry.events import TelemetryEvent
 
@@ -40,30 +38,3 @@ class MemorySink:
 
     def __len__(self) -> int:
         return len(self.events)
-
-
-class JSONLSink:
-    """Append events to a JSON-lines file (opened lazily, flushed on close)."""
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._handle = None
-        self.lines = 0
-
-    def write(self, event: TelemetryEvent) -> None:
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("w", encoding="utf-8")
-        self._handle.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
-        self.lines += 1
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def __enter__(self) -> "JSONLSink":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -136,52 +136,6 @@ class TestControllerBehaviour:
         high = controller._confidence(3.0)
         assert low < 0.2 and high > 0.8
 
-    def test_event_scorer_fusion_raises_warning(self):
-        from repro.faults import ErrorRecord
-        from repro.monitoring.records import EventSequence
-        from repro.prediction.base import EventPredictor, PredictorInfo
-        from repro.prediction.online import OnlineEventScorer
-
-        class BurstDetector(EventPredictor):
-            info = PredictorInfo(name="burst", category="test")
-
-            def fit_sequences(self, f, n):
-                self._fitted = True
-                return self
-
-            def score_sequence(self, sequence: EventSequence) -> float:
-                return float(len(sequence))
-
-        engine = Engine()
-        system = SCPSystem(
-            engine, RandomStreams(5), SCPConfig(enable_aging=False, n_containers=3)
-        )
-        detector = BurstDetector().fit_sequences([], [])
-        detector.set_threshold(5.0)
-        controller = PFMController(
-            system=system,
-            predictor=ThresholdPredictor(),  # symptom side stays quiet
-            variables=["swap_activity"],
-            eval_period=30.0,
-            event_scorer=OnlineEventScorer(
-                detector, data_window=300.0, lead_time=300.0
-            ),
-        )
-        system.start()
-        controller.start()
-
-        def burst():
-            for k in range(10):
-                system.error_log.report(
-                    ErrorRecord(
-                        time=engine.now + k * 0.1, message_id=200, component="c"
-                    )
-                )
-
-        engine.schedule(200.0, burst)
-        engine.run(until=400.0)
-        assert controller.mea.warnings_raised > 0
-
 
 class TestWarningEpisodeAccounting:
     def test_cooldown_still_records_episodes(self, scp_and_controller):

@@ -5,17 +5,20 @@ are the slowest tests in the suite; the horizon is kept at two simulated
 days, enough for a handful of fault episodes.
 """
 
+import inspect
+
 import pytest
 
 from repro.core import run_closed_loop
-from repro.core.experiment import DEFAULT_VARIABLES, train_predictor
+from repro.core.experiment import DEFAULT_VARIABLES, resolve_spec, train_predictor
 from repro.fleet import RunSpec, run_fleet
+from repro.fleet.shards import execute_spec
 from repro.telecom.dataset import DatasetConfig
 
 
 @pytest.fixture(scope="module")
 def result():
-    return run_closed_loop(train_seed=11, eval_seed=21, horizon=2 * 86_400.0)
+    return run_closed_loop(RunSpec(train_seed=11, eval_seed=21, horizon=2 * 86_400.0))
 
 
 class TestClosedLoop:
@@ -78,6 +81,47 @@ class TestReplication:
     def test_improvement_on_every_seed(self, replicated):
         for result in replicated.results:
             assert result.unavailability_ratio < 1.0, result.spec.key()
+
+
+class TestOneSpecOneAnswer:
+    """A spec gives one answer whether run directly or as a fleet shard."""
+
+    SPEC = RunSpec(
+        seed=21,
+        train_seed=11,
+        eval_seed=21,
+        horizon=21_600.0,
+        options={"dataset": {"lead_time": 600.0}},
+    )
+
+    def test_spec_is_the_only_argument(self):
+        assert list(inspect.signature(run_closed_loop).parameters) == [
+            "spec",
+            "trained",
+            "telemetry",
+        ]
+
+    def test_dataset_option_resolves_for_train_and_eval(self):
+        variables, train, evaluation = resolve_spec(self.SPEC)
+        assert variables == DEFAULT_VARIABLES
+        assert (train.seed, evaluation.seed) == (11, 21)
+        assert train.horizon == evaluation.horizon == 21_600.0
+        assert train.lead_time == evaluation.lead_time == 600.0
+        assert resolve_spec(
+            self.SPEC.replace(options={"dataset": DatasetConfig(lead_time=600.0)})
+        ) == (variables, train, evaluation)
+
+    def test_direct_run_and_shard_agree(self):
+        direct = run_closed_loop(spec=self.SPEC)
+        shard = execute_spec(self.SPEC)
+        assert shard.availability == direct.pfm_window_availability
+        assert shard.failures == direct.pfm_failures
+        assert shard.baseline_availability == direct.baseline_window_availability
+        assert shard.baseline_failures == direct.baseline_failures
+        assert shard.warnings_raised == direct.warnings_raised
+        assert shard.actions_taken == direct.actions_taken
+        assert shard.mea_iterations == direct.mea_iterations
+        assert shard.outcome_matrix == direct.outcome_matrix
 
 
 class TestRepairMeasurement:

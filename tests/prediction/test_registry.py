@@ -58,14 +58,6 @@ class TestConstruction:
         assert a.seed == b.seed
         assert a.seed != c.seed
 
-    def test_default_predictor_wrapper_uses_registry(self):
-        from repro.core.experiment import _default_predictor
-
-        wrapped = _default_predictor(np.random.default_rng(0))
-        direct = make_predictor("ubf", rng=np.random.default_rng(0))
-        assert type(wrapped) is type(direct)
-        assert wrapped.network.n_kernels == direct.network.n_kernels
-
 
 class TestRegistration:
     def test_double_registration_rejected(self):

@@ -60,17 +60,13 @@ class TestScenarios:
         config = CampaignConfig(train_seed=1, eval_seed=2, injection_seed=3)
         assert config.seeds() == {"train": 1, "eval": 2, "injection": 3}
 
-    def test_telemetry_dir_implies_telemetry(self, tmp_path):
-        config = CampaignConfig(telemetry_dir=str(tmp_path))
-        assert config.telemetry
-
 
 class TestGracefulDegradation:
     def test_every_attacked_scenario_is_graceful(self, report):
         # The acceptance bar: PFM under attack may lose its benefit but
         # must never be worse than running without PFM.
         for result in report.attacked:
-            assert report.graceful(result), result.scenario.name
+            assert report.graceful(result), result.spec.scenario
         assert report.all_graceful
 
     def test_healthy_pfm_beats_no_pfm(self, report):
@@ -82,23 +78,23 @@ class TestGracefulDegradation:
         # an absorbed fault counter, never a dead process.
         expected_min = int(0.8 * 86_400.0 / 30.0 * 0.5)
         for result in [report.healthy, *report.attacked]:
-            assert result.cycle_survived
-            assert result.mea_iterations >= expected_min, result.scenario.name
+            assert result.mea_iterations > 0
+            assert result.mea_iterations >= expected_min, result.spec.scenario
 
     def test_attacks_actually_happened(self, report):
         for result in report.attacked:
-            assert result.attack_episodes > 0, result.scenario.name
+            assert result.attack_episodes > 0, result.spec.scenario
 
     def test_monitoring_attacks_absorbed_by_sanitizer(self, report):
         dropout = next(
-            r for r in report.attacked if r.scenario.name == "monitoring-dropout"
+            r for r in report.attacked if r.spec.scenario == "monitoring-dropout"
         )
         events = dropout.resilience["sanitizer_events"]
         assert sum(per_var.get("nan", 0) for per_var in events.values()) > 0
 
     def test_predictor_attacks_fail_over_to_secondary(self, report):
         exceptions = next(
-            r for r in report.attacked if r.scenario.name == "predictor-exceptions"
+            r for r in report.attacked if r.spec.scenario == "predictor-exceptions"
         )
         assert exceptions.resilience["predictor_faults"] > 0
         assert exceptions.resilience["fallback_scores"] > 0
@@ -106,7 +102,7 @@ class TestGracefulDegradation:
 
     def test_failing_actions_open_breakers(self, report):
         failures = next(
-            r for r in report.attacked if r.scenario.name == "action-failures"
+            r for r in report.attacked if r.spec.scenario == "action-failures"
         )
         assert failures.resilience["failed_actions"] > 0
         assert failures.resilience["breaker_opens"] > 0
@@ -120,7 +116,7 @@ class TestReporting:
         assert "no-PFM baseline" in text
         assert "healthy-pfm" in text
         for result in report.attacked:
-            assert result.scenario.name in text
+            assert result.spec.scenario in text
 
     def test_json_roundtrip(self, report):
         doc = json.loads(report.to_json())
@@ -129,6 +125,24 @@ class TestReporting:
         assert len(doc["attacked"]) == len(report.attacked)
         for row in doc["attacked"]:
             assert row["cycle_survived"] is True
+
+
+class TestTracing:
+    def test_trace_dir_writes_the_fleet_trace(self, tmp_path):
+        from repro.telemetry.tracing import read_merged_trace
+
+        scenario = PFMFaultScenario("predictor-exceptions", predictor_exceptions=True)
+        report = run_campaign(
+            CampaignConfig(
+                horizon=0.3 * 86_400.0, scenarios=[scenario], telemetry=True
+            ),
+            trace_dir=str(tmp_path),
+        )
+        lanes = [record["lane"] for record in read_merged_trace(str(tmp_path))]
+        for result in [report.healthy, *report.attacked]:
+            assert result.telemetry_events > 0
+            assert lanes.count(result.spec.key()) == result.telemetry_events
+        assert "trace_path" not in report.to_json()
 
 
 class TestScenarioModel:

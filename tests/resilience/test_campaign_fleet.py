@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.fleet.artifacts import train_key_digest
+from repro.fleet.shards import training_plan
 from repro.fleet.spec import RunSpec
 from repro.resilience.campaign import (
     HEALTHY_PFM,
@@ -85,6 +87,25 @@ class TestCampaignSpecs:
     def test_spec_keys_unique(self):
         specs = campaign_specs(CampaignConfig())
         assert len({s.key() for s in specs}) == len(specs)
+
+    def test_default_keys_are_pinned(self):
+        """Existing ledgers and artifact stores must keep resuming."""
+        specs = campaign_specs(CampaignConfig())
+        assert [s.key() for s in specs] == [
+            "no-pfm:ubf:seed11:be7729af1050",
+            "healthy-pfm:ubf:seed11:23921abbb20a",
+            "monitoring-dropout:ubf:seed11:a724aa70fe03",
+            "observation-corruption:ubf:seed11:17155a93d5d3",
+            "predictor-exceptions:ubf:seed11:740bb948f05c",
+            "predictor-latency:ubf:seed11:b70a5835542a",
+            "action-failures:ubf:seed11:345277ee8f7b",
+            "all-fronts:ubf:seed11:88fac81f3a1f",
+        ]
+        closed_loop = RunSpec(seed=21, train_seed=11, eval_seed=21, horizon=21_600.0)
+        assert [
+            train_key_digest(training_plan(spec)[0])[:16]
+            for spec in (closed_loop, specs[1])
+        ] == ["59986f87df17fdb2", "095cf4584e7c5ad0"]
 
 
 class TestConfigFromSpec:

@@ -31,11 +31,11 @@ class TestParser:
 
     def test_campaign_telemetry_and_seed_flags_parse(self):
         args = build_parser().parse_args(
-            ["campaign", "--seed", "5", "--telemetry-dir", "out"]
+            ["campaign", "--seed", "5", "--trace-dir", "out"]
         )
         assert args.seed == 5
-        assert args.telemetry_dir == "out"
-        assert not args.telemetry  # --telemetry-dir implies it downstream
+        assert args.trace_dir == "out"
+        assert not args.telemetry  # --trace-dir implies it downstream
 
     def test_campaign_predictor_spec_flags_parse(self):
         args = build_parser().parse_args(
@@ -167,6 +167,27 @@ class TestParser:
 
 
 class TestFastCommands:
+    def test_campaign_trace_dir_turns_on_telemetry(self, monkeypatch, capsys):
+        from repro.resilience import campaign
+
+        calls = []
+
+        class Report:
+            def summary(self):
+                return "campaign summary"
+
+        def fake_run_campaign(config, **kwargs):
+            calls.append((config, kwargs))
+            return Report()
+
+        monkeypatch.setattr(campaign, "run_campaign", fake_run_campaign)
+        assert main(["campaign", "--trace-dir", "out"]) == 0
+        assert main(["campaign"]) == 0
+        (traced, traced_kwargs), (plain, plain_kwargs) = calls
+        assert traced.telemetry and traced_kwargs["trace_dir"] == "out"
+        assert not plain.telemetry and plain_kwargs["trace_dir"] is None
+        assert "campaign summary" in capsys.readouterr().out
+
     def test_model_defaults(self, capsys):
         assert main(["model"]) == 0
         out = capsys.readouterr().out
