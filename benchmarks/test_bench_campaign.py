@@ -8,15 +8,20 @@ availability plus the measured telemetry overhead in
 sidecars merged into ``fleet_trace.jsonl``) lands in
 ``benchmarks/telemetry_sample/`` so CI can publish it as an artifact.
 
-Two invariants are enforced:
+Three invariants are enforced:
 
 - **observation must not perturb**: both runs produce identical
   availability and failure counts per scenario (telemetry draws no
-  simulation randomness and feeds nothing back), and
+  simulation randomness and feeds nothing back),
 - **disabled-mode overhead < 5%**: the per-cycle cost of the NULL_HUB
   instrumentation (the no-op spans/counters every MEA iteration executes
   when nobody is listening), extrapolated to the whole run, stays below
-  5% of the uninstrumented campaign's PFM wall time.
+  5% of the uninstrumented campaign's PFM wall time, and
+- **disabled fleet-trace hooks < 5%**: the per-shard cost of the tracing
+  hooks when no trace is installed (the ``active_trace() is None``
+  branch in ``execute_spec`` plus the no-op ``announce_shard_hub`` call
+  every runner makes), extrapolated to every shard, stays below 5% of
+  the same wall time.
 """
 
 import json
@@ -35,7 +40,11 @@ from repro.resilience.campaign import (
     run_campaign,
 )
 from repro.telemetry.hub import NULL_HUB
-from repro.telemetry.tracing import read_merged_trace
+from repro.telemetry.tracing import (
+    active_trace,
+    announce_shard_hub,
+    read_merged_trace,
+)
 
 ARTIFACT = Path(__file__).with_name("BENCH_campaign.json")
 SAMPLE_DIR = Path(__file__).with_name("telemetry_sample")
@@ -89,6 +98,21 @@ def _disabled_cycle_cost(iterations: int = 20_000) -> float:
     return (time.perf_counter() - start) / iterations
 
 
+def _disabled_hook_cost(iterations: int = 200_000) -> float:
+    """Wall seconds per shard spent in fleet-trace hooks when tracing is off.
+
+    Replays the exact no-trace path one shard execution takes: the
+    ``active_trace()`` check in ``execute_spec`` and the runner's
+    ``announce_shard_hub`` call (a no-op when no capture window is
+    open).
+    """
+    start = time.perf_counter()
+    for _ in range(iterations):
+        if active_trace() is None:
+            announce_shard_hub(NULL_HUB)
+    return (time.perf_counter() - start) / iterations
+
+
 @pytest.mark.slow
 def test_bench_campaign_telemetry_overhead(benchmark):
     plain_config = _config()
@@ -132,6 +156,10 @@ def test_bench_campaign_telemetry_overhead(benchmark):
     )
     disabled_overhead = (per_cycle * total_cycles) / wall_off
 
+    per_shard = _disabled_hook_cost()
+    shards = len(campaign_specs(plain_config))
+    hook_overhead = (per_shard * shards) / wall_off
+
     record = {
         "config": {
             "horizon_days": HORIZON / 86_400.0,
@@ -155,6 +183,8 @@ def test_bench_campaign_telemetry_overhead(benchmark):
             "enabled_overhead_pct": 100.0 * enabled_overhead,
             "disabled_per_cycle_us": per_cycle * 1e6,
             "disabled_overhead_pct": 100.0 * disabled_overhead,
+            "disabled_trace_hook_per_shard_us": per_shard * 1e6,
+            "disabled_trace_hook_overhead_pct": 100.0 * hook_overhead,
             "events_per_scenario": {
                 r.spec.scenario: r.telemetry_events
                 for r in [instrumented.healthy, *instrumented.attacked]
@@ -173,7 +203,12 @@ def test_bench_campaign_telemetry_overhead(benchmark):
         f"disabled-mode instrumentation: {per_cycle * 1e6:.2f}us/cycle "
         f"x {total_cycles} cycles = {100.0 * disabled_overhead:.3f}% of run"
     )
+    print(
+        f"disabled fleet-trace hooks: {per_shard * 1e6:.3f}us/shard "
+        f"x {shards} shards = {100.0 * hook_overhead:.5f}% of run"
+    )
 
-    # CI smoke: the no-op path must stay beneath 5% of the closed-loop
-    # bench's wall time -- instrumentation that is "off" must be free.
+    # CI smoke: the no-op paths must stay beneath 5% of the campaign's
+    # wall time -- instrumentation that is "off" must be free.
     assert disabled_overhead < 0.05
+    assert hook_overhead < 0.05

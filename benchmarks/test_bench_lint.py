@@ -1,13 +1,14 @@
-"""Bench: pfmlint cold vs warm cache, and parallel identity.
+"""Bench: pfmlint cold vs warm cache.
 
-Lints the real ``src/`` tree three ways -- serial with a cold cache,
-serial again with the warm cache, and parallel (``jobs=2``) with its own
-cold cache -- asserting the incremental-analysis contract: a warm run is
+Lints the real ``src/`` tree twice -- with a cold cache, then with the
+warm cache -- asserting the incremental-analysis contract: a warm run is
 at least 5x faster than a cold one (it skips every per-file parse and
-rule pass, replaying only the cheap project phase) and parallel findings
-are byte-identical to serial.  Writes the measured numbers to
-``BENCH_lint.json`` next to this file so the speedup is recorded as a
-build artifact.
+rule pass, replaying only the cheap project phase) and reports the same
+findings.  Writes the measured numbers to ``BENCH_lint.json`` next to
+this file so the speedup is recorded as a build artifact.
+
+That parallel findings are byte-identical to serial ones is checked in
+tier-1, by ``tests/devtools/test_parallel.py``.
 """
 
 import json
@@ -16,7 +17,6 @@ from pathlib import Path
 
 from repro.devtools.lint.engine import lint_paths
 from repro.devtools.lint.project import ANALYZER_VERSION
-from repro.devtools.lint.reporters import json_report
 from repro.devtools.lint.rules import all_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -35,15 +35,11 @@ def _timed(fn):
     return time.perf_counter() - start, result
 
 
-def test_bench_lint_cache_and_parallel(tmp_path):
-    serial_cache = str(tmp_path / "cache-serial")
-    parallel_cache = str(tmp_path / "cache-parallel")
+def test_bench_lint_cache(tmp_path):
+    cache_dir = str(tmp_path / "cache")
 
-    cold_s, cold = _timed(lambda: lint_paths([SRC], cache_dir=serial_cache))
-    warm_s, warm = _timed(lambda: lint_paths([SRC], cache_dir=serial_cache))
-    par_s, par = _timed(
-        lambda: lint_paths([SRC], cache_dir=parallel_cache, jobs=2)
-    )
+    cold_s, cold = _timed(lambda: lint_paths([SRC], cache_dir=cache_dir))
+    warm_s, warm = _timed(lambda: lint_paths([SRC], cache_dir=cache_dir))
 
     # Cache correctness: the warm run analyzed nothing and changed nothing.
     assert cold.cache_misses == cold.files_checked > 100
@@ -51,13 +47,6 @@ def test_bench_lint_cache_and_parallel(tmp_path):
     assert warm.cache_hits == warm.files_checked == cold.files_checked
     assert warm.findings == cold.findings
     assert warm.suppressed == cold.suppressed
-
-    # Parallel identity: same findings, byte for byte, through the
-    # same reporter the CI gate publishes.
-    assert par.findings == cold.findings
-    assert json_report(
-        par.findings, [], par.files_checked, par.suppressed
-    ) == json_report(cold.findings, [], cold.files_checked, cold.suppressed)
 
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     assert speedup >= MIN_WARM_SPEEDUP, (
@@ -72,11 +61,8 @@ def test_bench_lint_cache_and_parallel(tmp_path):
         "files_checked": cold.files_checked,
         "cold_seconds": round(cold_s, 4),
         "warm_seconds": round(warm_s, 4),
-        "parallel_cold_seconds": round(par_s, 4),
         "warm_speedup": round(speedup, 2),
         "min_warm_speedup": MIN_WARM_SPEEDUP,
-        "parallel_jobs": 2,
-        "parallel_identical": True,
         "findings": len(cold.findings),
         "suppressed_inline": cold.suppressed,
     }

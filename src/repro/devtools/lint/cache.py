@@ -3,7 +3,9 @@
 Same shape as :mod:`repro.fleet.artifacts`: entries are addressed by
 content digest, published with :func:`repro.atomicfile.write_atomic`,
 and a corrupt or torn entry is treated as a miss -- the worst case is
-re-analyzing one file, never a wrong report.
+re-analyzing one file, never a wrong report.  Each entry carries the
+sha256 of its own canonical JSON, so a damaged entry that still parses
+is a miss too.
 
 An entry's key is ``sha256(path, source)`` x the **engine signature**
 -- a digest of the analyzer version and the selected rules with their
@@ -35,7 +37,7 @@ from repro.devtools.lint.findings import Finding
 DEFAULT_CACHE_DIR = ".pfmlint-cache"
 
 #: Bumped when the entry layout itself changes.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def source_digest(source: str) -> str:
@@ -53,6 +55,13 @@ def file_digest(display_path: str, source: str) -> str:
     """
     payload = f"{display_path}\x00{source}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _entry_digest(entry: dict) -> str:
+    """sha256 of an entry's canonical JSON (the ``digest`` field excluded)."""
+    return hashlib.sha256(
+        json.dumps(entry, sort_keys=True).encode("utf-8")
+    ).hexdigest()
 
 
 def engine_signature(analyzer_version: int, rules) -> str:
@@ -88,12 +97,16 @@ class LintCache:
         """The cached analysis for this (source, engine) pair, or None."""
         path = self.entry_path(src_sha, signature)
         try:
-            with open(path, encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+            with open(path, "rb") as handle:
+                entry = json.loads(handle.read())
+        except (OSError, ValueError):
             self.misses += 1
             return None
-        if entry.get("cache_version") != CACHE_VERSION:
+        if (
+            not isinstance(entry, dict)
+            or entry.pop("digest", None) != _entry_digest(entry)
+            or entry.get("cache_version") != CACHE_VERSION
+        ):
             self.misses += 1
             return None
         self.hits += 1
@@ -101,8 +114,9 @@ class LintCache:
 
     def save(self, src_sha: str, signature: str, entry: dict) -> None:
         """Atomically publish one entry; an unwritable cache is non-fatal."""
+        body = {**entry, "cache_version": CACHE_VERSION}
         data = json.dumps(
-            {**entry, "cache_version": CACHE_VERSION}, sort_keys=True
+            {**body, "digest": _entry_digest(body)}, sort_keys=True
         ).encode("utf-8")
         # Best-effort cache: an unwritable entry only costs warmth.
         with contextlib.suppress(OSError):

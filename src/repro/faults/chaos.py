@@ -26,9 +26,9 @@ infrastructure fault the supervisor's retry policy exists for.  Setting
 ``crash_probability=1.0`` makes a spec *poison* (it kills a worker on
 every attempt), which is how the quarantine path is exercised.
 
-The chaos invariant the fleet bench enforces: with any chaos
-configuration whose faults the retry budget absorbs, the fleet aggregate
-is byte-identical to a clean serial run.
+The chaos invariant ``tests/fleet/test_determinism_contract.py``
+checks: with any chaos configuration whose faults the retry budget
+absorbs, the fleet aggregate is byte-identical to a clean serial run.
 """
 
 from __future__ import annotations

@@ -207,8 +207,8 @@ class FleetReport:
     def aggregate(self) -> dict:
         """The backend-independent aggregate (no wall-clock values).
 
-        This is the document the CI smoke compares byte-for-byte between
-        the serial and process backends.
+        This is the document ``tests/fleet/test_determinism_contract.py``
+        compares byte for byte across backends, chaos, tracing and resume.
         """
         metrics = {}
         for (name, labels), metric in self.merged_metrics()._metrics.items():

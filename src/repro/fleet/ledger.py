@@ -73,13 +73,14 @@ class ShardLedger:
         Lines are applied in file order and the last line per key wins,
         so a shard that failed, was retried, and succeeded ends up as a
         result; one that succeeded under an old spec layout and failed
-        under the new one ends up failed.  Torn or unparseable lines are
-        skipped (the worst case is re-running that shard).
+        under the new one ends up failed.  Torn or unparseable lines, and
+        lines whose spec fails validation, are skipped (the worst case is
+        re-running that shard).
         """
         state = LedgerState()
         if not self.exists():
             return state
-        with open(self.path, "r", encoding="utf-8") as handle:
+        with open(self.path, "r", encoding="utf-8", errors="replace") as handle:
             for line in handle:
                 line = line.strip()
                 if not line:
@@ -95,9 +96,10 @@ class ShardLedger:
                         state.results.pop(key, None)
                         continue
                     result = RunResult.from_json_dict(doc["result"])
-                except (ValueError, KeyError, TypeError):
-                    # Torn write or a spec that does not JSON-round-trip
-                    # (rich config objects in options): re-run that shard.
+                except (ValueError, KeyError, TypeError, ReproError):
+                    # Torn write, a spec that does not JSON-round-trip
+                    # (rich config objects in options) or one that fails
+                    # validation: re-run that shard.
                     continue
                 if key != result.spec.key():
                     continue  # stale line from an older spec layout

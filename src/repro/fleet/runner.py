@@ -241,9 +241,8 @@ def run_fleet(
     chaos:
         Arm the fleet chaos harness (:mod:`repro.faults.chaos`) in every
         worker: seeded worker-crash / slow-worker / torn-artifact fault
-        injection, used by the chaos bench and tests to prove the
-        supervisor absorbs infrastructure faults without perturbing
-        aggregates.
+        injection, used by the tests to prove the supervisor absorbs
+        infrastructure faults without perturbing aggregates.
     trace_dir:
         Arm fleet-wide distributed tracing: every worker serializes each
         shard's full telemetry span/event stream to a per-shard JSONL
@@ -255,7 +254,7 @@ def run_fleet(
         Chrome/Perfetto ``fleet_trace.chrome.json`` render (see
         :mod:`repro.telemetry.tracing`).  Tracing reads results, never
         feeds back: aggregates are byte-identical with it on or off
-        (``benchmarks/test_bench_fleet_trace.py``).
+        (``tests/fleet/test_determinism_contract.py``).
     trace_deterministic:
         Zero wall-clock fields in the trace sidecars so trace bytes are
         a pure function of simulated behaviour (golden comparisons);

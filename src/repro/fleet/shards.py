@@ -204,9 +204,9 @@ def execute_spec(spec: RunSpec, attempt: int = 1) -> RunResult:
     hubs the runner announces are serialized to the shard's JSONL
     sidecar after the run succeeds.  ``attempt`` stamps the sidecar
     header only — a retried shard's event lines byte-match the first
-    attempt's, which is how the chaos bench proves a restarted worker's
-    trace is complete.  Tracing reads the hubs, never mutates them, so
-    results are identical with tracing on or off.
+    attempt's, which is how the determinism contract checks that a
+    restarted worker's trace is complete.  Tracing reads the hubs, never
+    mutates them, so results are identical with tracing on or off.
     """
     runner = _RUNNERS.get(spec.scenario)
     if runner is None:

@@ -159,6 +159,8 @@ def normalize_predictor_spec(spec) -> dict:
             aliases.append(alias)
         out["members"] = normalized
         criticality = out.get("criticality", {})
+        if isinstance(criticality, (list, tuple)) and not criticality:
+            criticality = {}  # an empty map read back from RunSpec options
         if not isinstance(criticality, dict):
             raise ConfigurationError("'criticality' must be a {member: weight} dict")
         unknown = set(criticality) - set(aliases)

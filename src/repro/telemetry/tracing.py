@@ -35,8 +35,8 @@ initializer exactly like the chaos config does.
 
 The non-negotiable, extended from PR 3's observation-must-not-perturb
 invariant: tracing enabled vs disabled leaves fleet aggregates
-byte-identical (``benchmarks/test_bench_fleet_trace.py`` proves it).
-Tracing reads results, never feeds anything back.
+byte-identical (``tests/fleet/test_determinism_contract.py`` checks it
+on the real runners).  Tracing reads results, never feeds anything back.
 """
 
 from __future__ import annotations
@@ -371,15 +371,24 @@ class SupervisorRecorder:
 
 
 def read_trace_file(path: str) -> tuple[dict, list[dict]]:
-    """One sidecar back as ``(header meta, event records)``."""
+    """One sidecar back as ``(header meta, event records)``.
+
+    Like the shard ledger's reader, it skips torn or unparseable lines,
+    so a sidecar cut short by a crash still reads as its intact lines.
+    """
     meta: dict = {}
     records: list[dict] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
         for line in handle:
             line = line.strip()
             if not line:
                 continue
-            doc = json.loads(line)
+            try:
+                doc = json.loads(line)
+            except ValueError:
+                continue
+            if not isinstance(doc, dict):
+                continue
             if "trace_meta" in doc:
                 meta = doc["trace_meta"]
             else:

@@ -5,6 +5,7 @@ import os
 
 from repro.devtools.lint.cli import main as lint_main
 from repro.devtools.lint.cache import (
+    CACHE_VERSION,
     LintCache,
     engine_signature,
     file_digest,
@@ -70,6 +71,18 @@ class TestCacheLifecycle:
         again = lint(root, cache_dir)
         assert again.findings == cold.findings
         assert again.cache_misses == again.files_checked
+
+    def test_parsable_non_entries_are_misses(self, make_project, tmp_path):
+        root = make_project({"repro/a.py": "bad = x != 0.5\n"})
+        cache_dir = str(tmp_path / "cache")
+        cold = lint(root, cache_dir)
+        for damaged in ("1", "[]", json.dumps({"cache_version": CACHE_VERSION})):
+            for name in os.listdir(cache_dir):
+                with open(os.path.join(cache_dir, name), "w") as handle:
+                    handle.write(damaged)
+            again = lint(root, cache_dir)
+            assert again.findings == cold.findings
+            assert again.cache_misses == again.files_checked
 
 
 class TestSignature:

@@ -244,17 +244,6 @@ class TestFleetIntegration:
         assert trained_in == {str(os.getpid())}
         assert len(list(markers.glob("*.marker"))) == 1
 
-    def test_store_matches_plain_run_byte_for_byte(self, tmp_path):
-        specs = grid([TRAINED], seeds=range(4), train_seed=7, horizon=100.0)
-        plain = run_fleet(specs, backend="serial")
-        clear_training_cache()
-        stored = run_fleet(
-            specs,
-            backend="serial",
-            artifact_store=str(tmp_path / "store"),
-        )
-        assert plain.aggregate_json() == stored.aggregate_json()
-
     def test_active_store_restored_after_run(self, tmp_path):
         sentinel = configure_artifact_store(str(tmp_path / "outer"))
         run_fleet(

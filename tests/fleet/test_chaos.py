@@ -4,15 +4,18 @@ The scenario runner here is module-level and registered at import time
 so forked pool workers inherit it (same mechanism as the campaign
 runners).  The chaos seeds are *searched for* at test time over the pure
 decision functions — hashing is cheap — so each test states the fault
-pattern it needs ("one shard dies on its first attempt, nothing dies on
-a retry") instead of hard-coding a magic seed that would silently stop
-provoking anything if the key derivation ever changed.
+pattern it needs instead of hard-coding a magic seed that would silently
+stop provoking anything if the key derivation ever changed.  Recovery of
+real shards on a real pool, byte for byte against a clean serial run, is
+checked by ``test_determinism_contract.py``.
 """
 
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkerCrashError
 from repro.faults.chaos import ChaosConfig, active_chaos, crash_decision
@@ -36,84 +39,60 @@ def _fake_runner(spec: RunSpec) -> RunResult:
 
 register_scenario_runner(CHAOS_FAKE, _fake_runner, overwrite=True)
 
-#: Retry ceiling used by the collateral-safe seed search below.
-MAX_ATTEMPT_SEARCHED = 4
-
-
-def _transient_crash_config(keys, crash_probability=0.2, max_seed=5000):
-    """A chaos config where >=1 shard dies on attempt 1 and *no* shard
-    can die on attempts 2..MAX_ATTEMPT_SEARCHED.
-
-    Clearing the retry attempts for every key (not just the crashing
-    one) makes the search collateral-safe: when a pool breaks, innocent
-    in-flight shards are resubmitted with bumped attempt numbers and
-    draw fresh chaos decisions — those draws must all be clean too.
-    """
-    for seed in range(max_seed):
-        config = ChaosConfig(seed=seed, crash_probability=crash_probability)
-        first = [key for key in keys if crash_decision(config, key, 1)]
-        if not first or len(first) > 2:
-            continue
-        retries_clean = all(
-            not crash_decision(config, key, attempt)
-            for key in keys
-            for attempt in range(2, MAX_ATTEMPT_SEARCHED + 1)
-        )
-        if retries_clean:
-            return config
-    pytest.fail("no chaos seed with a transient attempt-1 crash found")
-
 
 class TestCrashRecovery:
-    def test_hard_worker_kill_recovers_and_matches_clean_serial(self):
-        """A pool worker hard-killed mid-chunk (os._exit via the chaos
-        injector) no longer aborts the grid: the supervisor rebuilds the
-        pool, retries the lost shards, and the final aggregate is
-        byte-identical to a clean serial run."""
-        specs = grid([CHAOS_FAKE], seeds=range(1, 7))
-        config = _transient_crash_config([spec.key() for spec in specs])
-
-        clean = run_fleet(specs, backend="serial")
-        chaotic = run_fleet(
-            specs,
-            backend="process",
-            workers=2,
-            chunk_size=2,
-            chaos=config,
-            retry=RetryPolicy(max_attempts=MAX_ATTEMPT_SEARCHED + 2),
-        )
-
-        assert chaotic.aggregate_json() == clean.aggregate_json()
-        assert chaotic.quarantined == []
-        recovery = chaotic.timing["recovery"]
-        assert recovery["retries"] >= 1
-        assert recovery["worker_restarts"] >= 1
-        assert recovery["infrastructure_failures"] >= 1
-        assert recovery["quarantined"] == 0
-        counters = {
-            name: metric.value
-            for (name, _), metric in chaotic.fleet_metrics._metrics.items()
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seeds=st.sets(st.integers(1, 40), min_size=1, max_size=6),
+        chunk_size=st.integers(1, 6),
+        chaos_seed=st.integers(0, 100_000),
+    )
+    def test_serial_backend_simulates_the_crash_and_retries(
+        self, seeds, chunk_size, chaos_seed
+    ):
+        """In-process a worker crash is raised, not executed: each shard
+        retries until its first clean draw, or is quarantined once the
+        budget runs out, and the survivors match a clean run."""
+        max_attempts = 3
+        specs = grid([CHAOS_FAKE], seeds=sorted(seeds))
+        config = ChaosConfig(seed=chaos_seed, crash_probability=0.3)
+        first_clean = {
+            spec.key(): next(
+                (
+                    attempt
+                    for attempt in range(1, max_attempts + 1)
+                    if not crash_decision(config, spec.key(), attempt)
+                ),
+                None,
+            )
+            for spec in specs
         }
-        assert counters["fleet_worker_restarts_total"] >= 1
-        assert counters["fleet_retries_total"] >= 1
-        # Chaos never leaks into the parent process.
-        assert active_chaos() is None
-
-    def test_serial_backend_simulates_the_crash_and_retries(self):
-        specs = grid([CHAOS_FAKE], seeds=range(1, 7))
-        config = _transient_crash_config([spec.key() for spec in specs])
-        clean = run_fleet(specs, backend="serial")
+        survivors = [spec for spec in specs if first_clean[spec.key()]]
         chaotic = run_fleet(
             specs,
             backend="serial",
+            chunk_size=chunk_size,
             chaos=config,
-            retry=RetryPolicy(max_attempts=3),
+            retry=RetryPolicy(max_attempts=max_attempts),
         )
-        assert chaotic.aggregate_json() == clean.aggregate_json()
-        assert chaotic.timing["recovery"]["retries"] >= 1
+
+        assert {q["key"] for q in chaotic.quarantined} == {
+            key for key, attempt in first_clean.items() if attempt is None
+        }
+        crashes = sum(
+            (attempt or max_attempts + 1) - 1 for attempt in first_clean.values()
+        )
+        recovery = chaotic.timing["recovery"]
+        assert recovery["infrastructure_failures"] == crashes
+        assert recovery["retries"] == crashes - len(chaotic.quarantined)
         # No pool to break in-process: recovery without a restart.
-        assert chaotic.timing["recovery"]["worker_restarts"] == 0
+        assert recovery["worker_restarts"] == 0
         assert active_chaos() is None
+        if survivors:
+            clean = run_fleet(survivors, backend="serial")
+            assert [r.to_json_dict() for r in chaotic.results] == [
+                r.to_json_dict() for r in clean.results
+            ]
 
     def test_torn_artifact_reads_are_retried(self):
         specs = grid([CHAOS_FAKE], seeds=range(1, 5))

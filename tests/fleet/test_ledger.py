@@ -110,6 +110,16 @@ class TestCorruptionTolerance:
             handle.write(json.dumps({"version": 1, "key": "x"}) + "\n")
         assert len(ShardLedger(str(path)).load()) == 1
 
+    def test_line_with_an_invalid_spec_skipped(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        ledger = ShardLedger(str(path))
+        ledger.append(_result(1))
+        entry = json.loads(path.read_text())
+        entry["result"]["spec"]["horizon"] = -1.0
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(entry) + "\n")
+        assert list(ShardLedger(str(path)).load()) == [RunSpec(seed=1).key()]
+
     def test_key_spec_mismatch_skipped(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         ledger = ShardLedger(str(path))

@@ -14,12 +14,12 @@ not two hand-kept copies of a workload.
 
 import pytest
 
-from repro.faults.chaos import ChaosConfig, crash_decision
 from repro.fleet import RunResult, RunSpec, grid, run_fleet
 from repro.fleet.shards import register_scenario_runner
 from repro.resilience import RetryPolicy
 from repro.telemetry.hub import TelemetryHub
 from repro.telemetry.metrics import MetricsRegistry
+from tests.fleet.chaos_search import CLEAN_ATTEMPTS, transient_crash_config
 
 MM_FAKE = "metrics-merge-fake"
 
@@ -131,27 +131,14 @@ class TestCrossProcessDeterminism:
         state, and key-ordered merging does the rest — including the
         over-capacity histogram's seeded downsample."""
         specs = _specs()
-        keys = [spec.key() for spec in specs]
-        config = None
-        for seed in range(5000):
-            candidate = ChaosConfig(seed=seed, crash_probability=0.2)
-            if any(crash_decision(candidate, key, 1) for key in keys) and all(
-                not crash_decision(candidate, key, attempt)
-                for key in keys
-                for attempt in range(2, 6)
-            ):
-                config = candidate
-                break
-        assert config is not None, "no transient chaos seed found"
-
         serial = run_fleet(specs, backend="serial")
         chaotic = run_fleet(
             specs,
             backend="process",
             workers=2,
             chunk_size=2,
-            chaos=config,
-            retry=RetryPolicy(max_attempts=6),
+            chaos=transient_crash_config([spec.key() for spec in specs]),
+            retry=RetryPolicy(max_attempts=CLEAN_ATTEMPTS + 2),
         )
         assert chaotic.quarantined == []
         assert chaotic.timing["recovery"]["worker_restarts"] >= 1

@@ -3,8 +3,9 @@
 The scenario runner is module-level and registered at import time so
 forked pool workers inherit it.  It drives its hub off a spec-derived
 *simulated* clock, so with ``trace_deterministic=True`` the sidecar
-bytes are a pure function of the spec — the property the
-serial-vs-process golden comparisons below rely on.
+bytes are a pure function of the spec.  That sidecars and aggregates
+repeat across backends, chaos and tracing on real shards is checked by
+``test_determinism_contract.py``.
 """
 
 import json
@@ -12,7 +13,7 @@ import os
 
 import pytest
 
-from repro.faults.chaos import ChaosConfig, crash_decision
+from repro.faults.chaos import ChaosConfig
 from repro.fleet import RunResult, RunSpec, grid, run_fleet
 from repro.fleet.report import collect_report, render_html, render_markdown
 from repro.fleet.shards import register_scenario_runner
@@ -29,6 +30,7 @@ from repro.telemetry.tracing import (
     read_trace_file,
     safe_lane_name,
 )
+from tests.fleet.chaos_search import CLEAN_ATTEMPTS, transient_crash_config
 
 TRACE_FAKE = "trace-fake"
 
@@ -151,31 +153,26 @@ class TestSidecarsAndMerge:
             assert meta["events"] == 0
             assert records == []
 
+    def test_torn_sidecar_reads_as_its_intact_lines(self, tmp_path):
+        """A crash that cuts a sidecar's last line short loses that line
+        only, and the report still renders from the lanes."""
+        spec = _specs(1)[0]
+        run_fleet([spec], backend="serial", trace_dir=str(tmp_path))
+        path = tmp_path / "shards" / f"{safe_lane_name(spec.key())}.jsonl"
+        meta, records = read_trace_file(str(path))
+        path.write_bytes(path.read_bytes()[:-5])
+        assert read_trace_file(str(path)) == (meta, records[:-1])
+
+        os.remove(tmp_path / "fleet_trace.jsonl")
+        report = collect_report(trace_dir=str(tmp_path))
+        assert report["shards"]
+
     def test_trace_context_cleared_in_parent_after_run(self, tmp_path):
         run_fleet(_specs(2), backend="serial", trace_dir=str(tmp_path))
         assert active_trace() is None
 
 
 class TestDeterminism:
-    def test_serial_and_process_sidecars_are_byte_identical(self, tmp_path):
-        specs = _specs()
-        run_fleet(
-            specs, backend="serial", trace_dir=str(tmp_path / "serial"),
-            trace_deterministic=True,
-        )
-        run_fleet(
-            specs, backend="process", workers=2, chunk_size=1,
-            trace_dir=str(tmp_path / "process"), trace_deterministic=True,
-        )
-        serial_files = _shard_files(tmp_path / "serial")
-        assert serial_files == _shard_files(tmp_path / "process")
-        for name in serial_files:
-            serial_bytes = (tmp_path / "serial" / "shards" / name).read_bytes()
-            process_bytes = (
-                tmp_path / "process" / "shards" / name
-            ).read_bytes()
-            assert serial_bytes == process_bytes, name
-
     def test_deterministic_mode_zeroes_wall_fields(self, tmp_path):
         specs = _specs(2)
         run_fleet(
@@ -192,85 +189,8 @@ class TestDeterminism:
         # Simulated time survives the scrub.
         assert any(doc["sim_duration"] == 1.0 for doc in span_docs)
 
-    def test_aggregates_identical_with_and_without_tracing(self, tmp_path):
-        specs = _specs()
-        untraced = run_fleet(specs, backend="serial")
-        traced = run_fleet(
-            specs, backend="serial", trace_dir=str(tmp_path / "t1")
-        )
-        traced_process = run_fleet(
-            specs, backend="process", workers=2,
-            trace_dir=str(tmp_path / "t2"), trace_deterministic=True,
-        )
-        assert traced.aggregate_json() == untraced.aggregate_json()
-        assert traced_process.aggregate_json() == untraced.aggregate_json()
-
 
 class TestChaosOnTheTimeline:
-    def _transient_config(self, keys):
-        for seed in range(5000):
-            config = ChaosConfig(seed=seed, crash_probability=0.2)
-            first = [key for key in keys if crash_decision(config, key, 1)]
-            if not first:
-                continue
-            if all(
-                not crash_decision(config, key, attempt)
-                for key in keys
-                for attempt in range(2, 5)
-            ):
-                return config, first
-        pytest.fail("no transient chaos seed found")
-
-    def test_crashed_shard_trace_is_complete_after_retry(self, tmp_path):
-        """A hard-killed worker's shard still lands on the timeline: the
-        chaos record (written before ``os._exit``) marks the kill, and
-        the retried attempt publishes a complete sidecar whose event
-        lines byte-match the clean serial run's."""
-        specs = _specs()
-        keys = [spec.key() for spec in specs]
-        config, planned = self._transient_config(keys)
-
-        run_fleet(
-            specs, backend="serial", trace_dir=str(tmp_path / "clean"),
-            trace_deterministic=True,
-        )
-        chaotic = run_fleet(
-            specs,
-            backend="process",
-            workers=2,
-            chunk_size=1,
-            chaos=config,
-            retry=RetryPolicy(max_attempts=5),
-            trace_dir=str(tmp_path / "chaos"),
-            trace_deterministic=True,
-        )
-        assert chaotic.quarantined == []
-        assert chaotic.timing["recovery"]["worker_restarts"] >= 1
-        assert chaotic.timing["trace"]["chaos_events"] >= 1
-
-        merged = read_merged_trace(str(tmp_path / "chaos"))
-        crash_records = [
-            doc for doc in merged if doc["event"] == "chaos.crash"
-        ]
-        # A planned attempt-1 crash may never fire (its worker can die
-        # collaterally first, bumping the shard straight to attempt 2),
-        # but every *fired* crash was planned, and at least one fired.
-        crashed = {doc["key"] for doc in crash_records}
-        assert crashed and crashed <= set(planned)
-        retries = [doc for doc in merged if doc["event"] == "fleet.retry"]
-        assert retries
-
-        for key in sorted(crashed):
-            name = f"{safe_lane_name(key)}.jsonl"
-            clean_meta, clean_records = read_trace_file(
-                str(tmp_path / "clean" / "shards" / name)
-            )
-            chaos_meta, chaos_records = read_trace_file(
-                str(tmp_path / "chaos" / "shards" / name)
-            )
-            assert chaos_meta["attempt"] >= 2  # the retried attempt wrote it
-            assert chaos_records == clean_records  # ... and it is complete
-
     def test_quarantine_and_retry_are_supervisor_events(self, tmp_path):
         specs = grid([TRACE_FAKE], seeds=[1])
         report = run_fleet(
@@ -420,23 +340,11 @@ class TestRecoverySurfacing:
 
     def test_recovery_counters_reach_json_and_prometheus(self):
         specs = _specs(4)
-        keys = [spec.key() for spec in specs]
-        config = None
-        for seed in range(5000):
-            candidate = ChaosConfig(seed=seed, crash_probability=0.2)
-            if any(crash_decision(candidate, key, 1) for key in keys) and all(
-                not crash_decision(candidate, key, attempt)
-                for key in keys
-                for attempt in (2, 3, 4)
-            ):
-                config = candidate
-                break
-        assert config is not None, "no transient chaos seed found"
         report = run_fleet(
             specs,
             backend="serial",
-            chaos=config,
-            retry=RetryPolicy(max_attempts=4),
+            chaos=transient_crash_config([spec.key() for spec in specs]),
+            retry=RetryPolicy(max_attempts=CLEAN_ATTEMPTS),
         )
         snapshot = report.recovery_snapshot()
         assert snapshot["retries"] >= 1

@@ -9,6 +9,7 @@ import json
 import pytest
 
 from repro.fleet.spec import RunSpec
+from repro.prediction.registry import normalize_predictor_spec
 from repro.resilience.campaign import (
     CampaignConfig,
     PFMFaultScenario,
@@ -57,6 +58,23 @@ class TestSpecPlumbing:
         assert carried["name"] == "noisy-or"
         rebuilt = _config_from_spec(specs[1])
         assert rebuilt.predictor == config.predictor
+
+    def test_panel_without_criticality_rebuilds_from_its_spec(self):
+        """Spec options store the empty criticality map as an empty list."""
+        panel = {"name": "noisy-or", "members": ["ubf", "rate"]}
+        config = CampaignConfig(
+            train_seed=11,
+            eval_seed=21,
+            injection_seed=2021,
+            horizon=21_600.0,
+            scenarios=[PFMFaultScenario("monitoring-dropout", monitoring_dropout=True)],
+            predictor=panel,
+        )
+        spec = campaign_specs(config)[1]
+        assert _config_from_spec(spec).predictor == config.predictor
+        assert normalize_predictor_spec(
+            spec.option("predictor")
+        ) == normalize_predictor_spec(panel)
 
     def test_train_key_distinguishes_predictors(self):
         default = campaign_specs(CampaignConfig())[1]

@@ -1,5 +1,6 @@
 """The shared atomic writer, and the three callers that publish through it."""
 
+import hashlib
 import json
 import os
 import pickle
@@ -87,9 +88,10 @@ class TestByteLayout:
         cache = LintCache(str(tmp_path))
         cache.save("a" * 64, "sig", {"findings": [], "summary": None})
         raw = Path(cache.entry_path("a" * 64, "sig")).read_bytes()
+        body = {"cache_version": CACHE_VERSION, "findings": [], "summary": None}
+        digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode())
         assert raw == json.dumps(
-            {"cache_version": CACHE_VERSION, "findings": [], "summary": None},
-            sort_keys=True,
+            {**body, "digest": digest.hexdigest()}, sort_keys=True
         ).encode("utf-8")
 
     def test_trace_lines_end_with_a_newline(self, tmp_path):
