@@ -9,7 +9,8 @@ re-runs only the missing shards.
 The reader is deliberately forgiving: a truncated final line (the
 signature of a hard kill during a write) or a line that no longer parses
 is skipped — the worst case is re-running a shard, never crashing or
-double-counting one.
+double-counting one.  The next append ends a torn final line first, so
+the fragment stays a skipped line of its own.
 
 Besides completed results, the ledger records *failure* checkpoints:
 ``status: "failed"`` for a shard whose own code raised (deterministic —
@@ -178,8 +179,13 @@ class ShardLedger:
         directory = os.path.dirname(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+        with open(self.path, "a+b") as handle:
+            if handle.seek(0, os.SEEK_END) > 0:
+                handle.seek(-1, os.SEEK_END)
+                if handle.read(1) != b"\n":
+                    # End a torn tail, or this line would fuse with it.
+                    line = "\n" + line
+            handle.write(line.encode("utf-8") + b"\n")
             handle.flush()
             os.fsync(handle.fileno())
 

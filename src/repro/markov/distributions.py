@@ -16,7 +16,6 @@ from __future__ import annotations
 import abc
 
 import numpy as np
-import scipy.stats
 
 from repro.errors import ModelError
 
@@ -101,6 +100,8 @@ class PoissonDuration(DiscreteDuration):
         self.rate = float(rate)
 
     def pmf(self) -> np.ndarray:
+        import scipy.stats  # deferred: ~0.5 s to import, and only two pmfs use it
+
         d = np.arange(0, self.max_duration)
         raw = scipy.stats.poisson.pmf(d, self.rate)
         return self._normalize(raw)
@@ -121,6 +122,8 @@ class NegativeBinomialDuration(DiscreteDuration):
         self.p = float(p)
 
     def pmf(self) -> np.ndarray:
+        import scipy.stats  # deferred: see PoissonDuration.pmf
+
         d = np.arange(0, self.max_duration)
         raw = scipy.stats.nbinom.pmf(d, self.r, self.p)
         return self._normalize(raw)

@@ -22,12 +22,6 @@ from repro.errors import ConfigurationError
 _MIN_WIDTH = 1e-6
 
 
-def _radii(x: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Euclidean distances of rows of ``x`` from ``center``."""
-    diff = np.atleast_2d(x) - center[None, :]
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
 class GaussianKernel:
     """Radial Gaussian: ``exp(-r^2 / (2 w^2))`` -- "peaked" behaviour."""
 
@@ -36,7 +30,7 @@ class GaussianKernel:
         self.width = max(float(width), _MIN_WIDTH)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        r = _radii(x, self.center)
+        r = kernel_radii(x, self.center[None, :])[:, 0]
         return np.exp(-0.5 * (r / self.width) ** 2)
 
 
@@ -53,7 +47,7 @@ class SigmoidKernel:
         self.offset = float(offset)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        r = _radii(x, self.center)
+        r = kernel_radii(x, self.center[None, :])[:, 0]
         z = np.clip((r - self.offset) / self.width, -50.0, 50.0)
         return 1.0 / (1.0 + np.exp(z))
 
@@ -86,27 +80,35 @@ class UBFKernel:
         )
 
 
+def kernel_radii(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Distances ``R[n, i] = |x_n - c_i|`` that :func:`kernel_matrix` evaluates.
+
+    They depend on the centers only, so a trainer that refines widths,
+    offsets and mixtures computes them once and keeps the n x K x d
+    difference tensor out of its inner loop.
+    """
+    x = np.atleast_2d(x)
+    diff = x[:, None, :] - centers[None, :, :]
+    return np.sqrt(np.einsum("nik,nik->ni", diff, diff))
+
+
 def kernel_matrix(
-    x: np.ndarray,
-    centers: np.ndarray,
+    radii: np.ndarray,
     gaussian_widths: np.ndarray,
     sigmoid_widths: np.ndarray,
     sigmoid_offsets: np.ndarray,
     mixtures: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized design matrix: ``K[n, i] = k_i(x_n)``.
+    """Vectorized design matrix ``K[n, i] = k_i(x_n)`` from :func:`kernel_radii`.
 
     The row-wise functional form matches :class:`UBFKernel`; this bulk
     version is what the trainer's inner loop uses.
     """
-    x = np.atleast_2d(x)
-    diff = x[:, None, :] - centers[None, :, :]
-    r = np.sqrt(np.einsum("nik,nik->ni", diff, diff))
     gw = np.maximum(gaussian_widths, _MIN_WIDTH)[None, :]
     sw = np.maximum(sigmoid_widths, _MIN_WIDTH)[None, :]
     b = sigmoid_offsets[None, :]
     m = np.clip(mixtures, 0.0, 1.0)[None, :]
-    gaussian = np.exp(-0.5 * (r / gw) ** 2)
-    z = np.clip((r - b) / sw, -50.0, 50.0)
+    gaussian = np.exp(-0.5 * (radii / gw) ** 2)
+    z = np.clip((radii - b) / sw, -50.0, 50.0)
     sigmoid = 1.0 / (1.0 + np.exp(z))
     return m * gaussian + (1.0 - m) * sigmoid

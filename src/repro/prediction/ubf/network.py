@@ -26,7 +26,7 @@ import scipy.cluster.vq
 import scipy.optimize
 
 from repro.errors import ConfigurationError, NotFittedError
-from repro.prediction.ubf.kernels import UBFKernel, kernel_matrix
+from repro.prediction.ubf.kernels import UBFKernel, kernel_matrix, kernel_radii
 from repro.rng import ensure_rng
 
 
@@ -100,10 +100,7 @@ class UBFNetwork:
         xs = self._standardize(x)
 
         self._init_kernels(xs)
-        self._optimize_kernels(xs, y)
-        self.weights = self._solve_weights(xs, y)
-        residual = self._predict_standardized(xs) - y
-        self.training_mse_ = float(np.mean(residual**2))
+        self._train(xs, y)
         self._fitted = True
         return self
 
@@ -130,10 +127,9 @@ class UBFNetwork:
         self.sigmoid_offsets = base.copy()
         self.mixtures = np.full(self.n_kernels, self.mixture_init)
 
-    def _design(self, xs: np.ndarray) -> np.ndarray:
+    def _design(self, radii: np.ndarray) -> np.ndarray:
         k = kernel_matrix(
-            xs,
-            self.centers,
+            radii,
             self.gaussian_widths,
             self.sigmoid_widths,
             self.sigmoid_offsets,
@@ -141,8 +137,7 @@ class UBFNetwork:
         )
         return np.column_stack([np.ones(k.shape[0]), k])
 
-    def _solve_weights(self, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
-        design = self._design(xs)
+    def _solve_weights(self, design: np.ndarray, y: np.ndarray) -> np.ndarray:
         gram = design.T @ design
         gram += self.ridge * np.eye(gram.shape[0])
         return np.linalg.solve(gram, design.T @ y)
@@ -161,16 +156,28 @@ class UBFNetwork:
         if self.optimize_mixtures:
             self.mixtures = theta[3 * k : 4 * k]
 
-    def _optimize_kernels(self, xs: np.ndarray, y: np.ndarray) -> None:
+    def _train(self, xs: np.ndarray, y: np.ndarray) -> None:
+        """Refine the kernel parameters, then solve the output weights.
+
+        The centers are not refined, so the distances to them are computed
+        once here and every design of the fit is evaluated on them.
+        """
+        radii = kernel_radii(xs, self.centers)
+        self._optimize_kernels(radii, y)
+        design = self._design(radii)
+        self.weights = self._solve_weights(design, y)
+        residual = design @ self.weights - y
+        self.training_mse_ = float(np.mean(residual**2))
+
+    def _optimize_kernels(self, radii: np.ndarray, y: np.ndarray) -> None:
         if self.max_opt_iter <= 0:
             return
         k = self.n_kernels
 
         def objective(theta: np.ndarray) -> float:
             self._unpack_params(theta)
-            weights = self._solve_weights(xs, y)
-            design = self._design(xs)
-            residual = design @ weights - y
+            design = self._design(radii)
+            residual = design @ self._solve_weights(design, y) - y
             return float(np.mean(residual**2))
 
         bounds = (
@@ -211,11 +218,7 @@ class UBFNetwork:
             self.max_opt_iter = max_opt_iter
         if optimize_mixtures is not None:
             self.optimize_mixtures = optimize_mixtures
-        xs = self._standardize(x)
-        self._optimize_kernels(xs, y)
-        self.weights = self._solve_weights(xs, y)
-        residual = self._predict_standardized(xs) - y
-        self.training_mse_ = float(np.mean(residual**2))
+        self._train(self._standardize(x), y)
         return self
 
     # ------------------------------------------------------------------
@@ -226,10 +229,8 @@ class UBFNetwork:
         """Predicted target values for rows of ``x``."""
         if not self._fitted:
             raise NotFittedError("UBFNetwork has not been fitted")
-        return self._predict_standardized(self._standardize(x))
-
-    def _predict_standardized(self, xs: np.ndarray) -> np.ndarray:
-        return self._design(xs) @ self.weights
+        radii = kernel_radii(self._standardize(x), self.centers)
+        return self._design(radii) @ self.weights
 
     def kernels(self) -> list[UBFKernel]:
         """The fitted kernels as individual objects (for inspection)."""

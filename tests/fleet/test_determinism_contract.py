@@ -204,3 +204,7 @@ def test_untraced_resume_runs_only_the_missing_shards(reference, tmp_path):
     assert report.timing["resumed_from_ledger"] == 1
     assert report.timing["executed"] == 2
     assert report.aggregate_json() == expected.aggregate_json()
+    # The torn line did not swallow the first shard appended after it.
+    assert set(ShardLedger(str(ledger_path)).load()) == {
+        result.spec.key() for result in expected.results
+    }

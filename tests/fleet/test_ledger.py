@@ -100,6 +100,21 @@ class TestCorruptionTolerance:
         loaded = ShardLedger(str(path)).load()
         assert len(loaded) == 1
 
+    def test_first_append_after_a_torn_tail_is_kept(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        ledger = ShardLedger(str(path))
+        ledger.append(_result(1))
+        intact = path.stat().st_size
+        ledger.append(_result(2))
+        with open(path, "r+b") as handle:
+            handle.truncate((intact + path.stat().st_size) // 2)
+        ledger.append(_result(2))
+        ledger.append(_result(3))
+        loaded = ShardLedger(str(path)).load()
+        assert sorted(loaded) == sorted(RunSpec(seed=seed).key() for seed in (1, 2, 3))
+        # The fragment stays a line of its own; nothing before it moved.
+        assert len(path.read_bytes().splitlines()) == 4
+
     def test_blank_and_garbage_lines_skipped(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         ledger = ShardLedger(str(path))

@@ -3,7 +3,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.prediction.ubf import GaussianKernel, SigmoidKernel, UBFKernel
-from repro.prediction.ubf.kernels import kernel_matrix
+from repro.prediction.ubf.kernels import kernel_matrix, kernel_radii
 
 
 CENTER = np.array([1.0, -1.0])
@@ -74,15 +74,13 @@ class TestKernelMatrix:
         offsets = rng.random(4) + 0.5
         mixtures = rng.random(4)
         x = rng.standard_normal((10, 3))
-        matrix = kernel_matrix(x, centers, gw, sw, offsets, mixtures)
+        matrix = kernel_matrix(kernel_radii(x, centers), gw, sw, offsets, mixtures)
         for i in range(4):
             kernel = UBFKernel(centers[i], gw[i], sw[i], offsets[i], mixtures[i])
             np.testing.assert_allclose(matrix[:, i], kernel(x), atol=1e-12)
 
     def test_shape(self, rng):
-        matrix = kernel_matrix(
-            rng.standard_normal((7, 2)),
-            rng.standard_normal((3, 2)),
-            np.ones(3), np.ones(3), np.ones(3), np.full(3, 0.5),
-        )
-        assert matrix.shape == (7, 3)
+        radii = kernel_radii(rng.standard_normal((7, 2)), rng.standard_normal((3, 2)))
+        ones = np.ones(3)
+        matrix = kernel_matrix(radii, ones, ones, ones, np.full(3, 0.5))
+        assert radii.shape == matrix.shape == (7, 3)

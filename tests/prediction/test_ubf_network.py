@@ -3,6 +3,7 @@ import pytest
 
 from repro.errors import ConfigurationError, NotFittedError
 from repro.prediction.ubf import UBFNetwork
+from repro.prediction.ubf.kernels import kernel_radii
 
 
 def bumpy_target(x):
@@ -95,7 +96,7 @@ class TestKernelsAccess:
         probe_std = (probe - net._x_mean) / net._x_std
         for i, kernel in enumerate(kernels):
             assert kernel(probe_std)[0] == pytest.approx(
-                net._design(probe_std)[0, i + 1], abs=1e-10
+                net._design(kernel_radii(probe_std, net.centers))[0, i + 1], abs=1e-10
             )
 
     def test_kernels_before_fit(self, rng):

@@ -98,7 +98,12 @@ LEDGER_BYTES = _ledger_bytes()
 def test_ledger_returns_the_intact_results_and_only_real_keys(damage):
     data, intact = _damage(LEDGER_BYTES, damage)
     with tempfile.TemporaryDirectory() as directory:
-        loaded = ShardLedger(_write(directory, "ledger.jsonl", data)).load()
+        ledger = ShardLedger(_write(directory, "ledger.jsonl", data))
+        loaded = ledger.load()
+        # Whatever the damage, appending every result again restores all.
+        for result in LEDGER_RESULTS:
+            ledger.append(result)
+        restored = ledger.load()
     written = {result.spec.key(): result for result in LEDGER_RESULTS}
     assert set(loaded) <= set(written)
     for key, result in loaded.items():
@@ -107,6 +112,9 @@ def test_ledger_returns_the_intact_results_and_only_real_keys(damage):
         if survived:
             key = result.spec.key()
             assert loaded[key].to_json_dict() == result.to_json_dict()
+    assert {key: result.to_json_dict() for key, result in restored.items()} == {
+        key: result.to_json_dict() for key, result in written.items()
+    }
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Public-API surface checks: everything advertised imports and exists."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,36 @@ def test_all_exports_resolve(name):
     module = importlib.import_module(name)
     for symbol in getattr(module, "__all__", []):
         assert hasattr(module, symbol), f"{name}.__all__ lists missing {symbol}"
+
+
+def test_public_imports_leave_scipy_stats_unloaded():
+    """``scipy.stats`` stays off the import path: it costs about 0.5 s.
+
+    Only the Poisson and negative-binomial duration pmfs use it, and they
+    import it when called.  A fresh interpreter imports every package
+    above and resolves every name it exports.
+    """
+    code = (
+        "import importlib, sys\n"
+        f"for name in ['repro', *{PACKAGES!r}]:\n"
+        "    module = importlib.import_module(name)\n"
+        "    for symbol in getattr(module, '__all__', []):\n"
+        "        getattr(module, symbol)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(repro.__file__).parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_version_exposed():
