@@ -9,7 +9,7 @@ selected by the cost/confidence objective function).
 This is the experiment the paper could only model analytically (Sect. 5);
 here the measured unavailability ratio can be compared with Eq. 14.
 
-Run:  python examples/proactive_recovery.py       (takes ~1 minute)
+Run:  python examples/proactive_recovery.py       (about 20 s on one core)
 """
 
 from repro.core import run_closed_loop

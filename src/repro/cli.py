@@ -77,12 +77,13 @@ def _cmd_case_study(args: argparse.Namespace) -> None:
         UBFNetwork,
         UBFPredictor,
     )
-    from repro.telecom import DatasetConfig, generate_dataset
+    from repro.telecom.dataset import DatasetConfig, prepare_simulation
 
     print(f"simulating {args.days:g} days of SCP operation...")
-    dataset = generate_dataset(
-        DatasetConfig(horizon=args.days * 86_400.0, seed=args.seed)
-    )
+    dataset = prepare_simulation(
+        DatasetConfig(horizon=args.days * 86_400.0, seed=args.seed),
+        monitor=DEFAULT_VARIABLES,
+    ).run()
     print(f"failures: {len(dataset.failure_log)}  errors: {len(dataset.error_log)}")
     grid, x, y_avail, y_fail = dataset.ubf_samples(variables=DEFAULT_VARIABLES)
     train, test = chronological_split(grid, fraction=0.6)

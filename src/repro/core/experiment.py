@@ -114,7 +114,8 @@ def simulate_and_train(
 ) -> tuple[SymptomPredictor, np.ndarray, TrainingData]:
     """:func:`train_predictor`, also returning the training bundle."""
     variables = variables or DEFAULT_VARIABLES
-    dataset = prepare_simulation(config).run()
+    # Training reads only these variables' series: sample nothing else.
+    dataset = prepare_simulation(config, monitor=variables).run()
     if predictor is None:
         predictor = make_predictor("ubf", rng=np.random.default_rng(config.seed))
     consumes = getattr(predictor, "consumes", frozenset({"samples"}))
@@ -259,9 +260,10 @@ def measure_repair_improvement(
     eval_config = replace(base_config, seed=eval_seed, horizon=horizon)
     predictor, training_scores = train_predictor(train_config, variables)
 
-    # Baseline: classical repairs only.
+    # Baseline: classical repairs only.  Neither evaluation run reads a
+    # symptom series, so neither keeps a collector.
     classical_breakdowns: list[RepairBreakdown] = []
-    baseline_sim = prepare_simulation(eval_config)
+    baseline_sim = prepare_simulation(eval_config, monitor=())
     _attach_repair_measurement(
         baseline_sim,
         PreparedRepairAction(),
@@ -274,7 +276,7 @@ def measure_repair_improvement(
     # PFM: the controller's only countermeasure is preparation, so the
     # fault process (and thus the failure set) stays comparable.
     prepared_breakdowns: list[RepairBreakdown] = []
-    pfm_sim = prepare_simulation(eval_config)
+    pfm_sim = prepare_simulation(eval_config, monitor=())
     prepare_action = PreparedRepairAction()
     controller = PFMController(
         system=pfm_sim.system,
@@ -320,14 +322,16 @@ def run_closed_loop(
     variables, train_config, eval_config = resolve_spec(spec)
     predictor, training_scores = trained if trained is not None else train_spec(spec)
 
-    # Baseline run: same faultload, no PFM.
-    baseline = prepare_simulation(eval_config).run()
+    # Baseline run: same faultload, no PFM.  The evaluation runs read only
+    # the failure log and the SLA (the controller reads its gauges itself),
+    # so neither keeps a symptom collector.
+    baseline = prepare_simulation(eval_config, monitor=()).run()
 
     # PFM run: identical configuration and seed, controller attached.
     from repro.telemetry.hub import NULL_HUB
 
     hub = telemetry if telemetry is not None else NULL_HUB
-    pfm_sim = prepare_simulation(eval_config)
+    pfm_sim = prepare_simulation(eval_config, monitor=())
     controller = PFMController(
         system=pfm_sim.system,
         predictor=predictor,

@@ -10,7 +10,10 @@ The reader is deliberately forgiving: a truncated final line (the
 signature of a hard kill during a write) or a line that no longer parses
 is skipped — the worst case is re-running a shard, never crashing or
 double-counting one.  The next append ends a torn final line first, so
-the fragment stays a skipped line of its own.
+the fragment stays a skipped line of its own.  Every result line carries
+the sha256 of its result's canonical JSON, so a line whose values
+changed (one flipped digit in an availability) is skipped the same way
+instead of loading a result no shard produced.
 
 Besides completed results, the ledger records *failure* checkpoints:
 ``status: "failed"`` for a shard whose own code raised (deterministic —
@@ -24,6 +27,7 @@ succeeds simply overwrites its failure record.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -34,7 +38,9 @@ from repro.errors import LedgerRoundTripWarning, ReproError
 from repro.fleet.spec import RunResult
 
 #: Schema tag so future ledger formats can be detected, not guessed.
-LEDGER_VERSION = 1
+#: Version 2 added the result digest; version-1 lines have none, so they
+#: load as torn lines and their shards re-run.
+LEDGER_VERSION = 2
 
 #: The two failure statuses a ledger line may carry.
 STATUS_FAILED = "failed"
@@ -53,6 +59,12 @@ class LedgerState:
 #: The signature of CPython's default ``object.__repr__``: a memory
 #: address, which no other process can reproduce.
 _ID_REPR = re.compile(r" at 0x[0-9a-fA-F]+")
+
+
+def _result_digest(result: dict) -> str:
+    """SHA-256 of the canonical JSON form of a parsed ledger result."""
+    text = json.dumps(result, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class ShardLedger:
@@ -74,9 +86,10 @@ class ShardLedger:
         Lines are applied in file order and the last line per key wins,
         so a shard that failed, was retried, and succeeded ends up as a
         result; one that succeeded under an old spec layout and failed
-        under the new one ends up failed.  Torn or unparseable lines, and
-        lines whose spec fails validation, are skipped (the worst case is
-        re-running that shard).
+        under the new one ends up failed.  Torn or unparseable lines,
+        result lines whose digest is missing or does not match their
+        result, and lines whose spec fails validation, are skipped (the
+        worst case is re-running that shard).
         """
         state = LedgerState()
         if not self.exists():
@@ -96,6 +109,8 @@ class ShardLedger:
                         }
                         state.results.pop(key, None)
                         continue
+                    if doc.get("digest") != _result_digest(doc["result"]):
+                        continue  # changed bytes, or a version-1 line
                     result = RunResult.from_json_dict(doc["result"])
                 except (ValueError, KeyError, TypeError, ReproError):
                     # Torn write, a spec that does not JSON-round-trip
@@ -130,13 +145,16 @@ class ShardLedger:
         humans and to non-resume tooling.
         """
         key = result.spec.key()
+        # Digest what the reader will parse: ``default=repr`` values are
+        # strings there, tuples lists and every mapping key a string.
+        payload = json.loads(json.dumps(result.to_json_dict(), default=repr))
         line = json.dumps(
             {
                 "version": LEDGER_VERSION,
                 "key": key,
-                "result": result.to_json_dict(),
-            },
-            default=repr,
+                "digest": _result_digest(payload),
+                "result": payload,
+            }
         )
         problem = self._round_trip_problem(line, key)
         if problem is not None:

@@ -101,10 +101,16 @@ class TimeSeriesStore:
     ) -> np.ndarray:
         """Sample-and-hold design matrix: rows = grid points, cols = variables.
 
-        This is the feature matrix fed to symptom-based predictors.
+        This is the feature matrix fed to symptom-based predictors.  A
+        variable with no sample raises :class:`ConfigurationError` (a
+        typo, or a gauge the run did not monitor) instead of reading as a
+        NaN column; the store is left as it was.
         """
+        missing = [v for v in variables if not len(self._series.get(v, ()))]
+        if missing:
+            raise ConfigurationError(f"variables never recorded: {missing}")
         grid = list(grid)
-        columns = [self.series(v).resample(grid) for v in variables]
+        columns = [self._series[v].resample(grid) for v in variables]
         return np.column_stack(columns) if columns else np.empty((len(grid), 0))
 
     def __repr__(self) -> str:

@@ -479,7 +479,9 @@ def _run_scenario(spec: RunSpec, trained: tuple) -> RunResult:
     variables, _, eval_config = resolve_spec(spec)
     config = _config_from_spec(spec)
     scenario = _scenario_from_spec(spec)
-    sim = prepare_simulation(eval_config)
+    # The controller reads its gauges through the sanitizer, and the
+    # result reads only the SLA and failure log: no symptom collector.
+    sim = prepare_simulation(eval_config, monitor=())
 
     hub = TelemetryHub() if spec.telemetry else NULL_HUB
     announce_shard_hub(hub)
@@ -696,7 +698,7 @@ def run_scenario_spec(spec: RunSpec) -> RunResult:
     if spec.scenario == NO_PFM:
         _, _, eval_config = resolve_spec(spec)
         wall_start = time.perf_counter()
-        dataset = prepare_simulation(eval_config).run()
+        dataset = prepare_simulation(eval_config, monitor=()).run()
         return RunResult(
             spec=spec,
             availability=dataset.system.sla.overall_availability(),

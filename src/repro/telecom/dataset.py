@@ -17,6 +17,7 @@ consume:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -150,6 +151,10 @@ class TelecomDataset:
         cfg = self.config
         grid = self.sample_grid() if grid is None else np.asarray(grid, dtype=float)
         variables = variables or self.variables
+        if not variables:
+            raise ConfigurationError(
+                "the run monitored no variables (prepare_simulation(monitor=()))"
+            )
         x = self.store.matrix(variables, grid)
         windows = self.system.sla.windows
         window_ends = np.array([w.end for w in windows])
@@ -291,6 +296,7 @@ class SimulationRun:
 
     Exposes the engine and system so callers -- notably the closed-loop
     PFM experiments -- can attach controllers before calling :meth:`run`.
+    ``collector`` is ``None`` when the run monitors nothing.
     """
 
     config: DatasetConfig
@@ -298,19 +304,21 @@ class SimulationRun:
     streams: RandomStreams
     system: SCPSystem
     store: TimeSeriesStore
-    collector: PeriodicCollector
+    collector: PeriodicCollector | None
     faultload: FaultLoad
     noise_injectors: list[IntermittentErrorInjector]
 
     def run(self) -> TelecomDataset:
         """Execute the simulation to the horizon and collect the dataset."""
         self.system.start()
-        self.collector.start()
+        if self.collector is not None:
+            self.collector.start()
         for injector in self.noise_injectors:
             injector.start(self.engine)
         self.engine.run(until=self.config.horizon)
         self.system.sla.flush(self.config.horizon)
-        self.collector.stop()
+        if self.collector is not None:
+            self.collector.stop()
         for injector in self.noise_injectors:
             injector.stop()
         return TelecomDataset(
@@ -321,15 +329,37 @@ class SimulationRun:
         )
 
 
-def prepare_simulation(config: DatasetConfig | None = None) -> SimulationRun:
-    """Build the engine, system, faultload and monitoring for one run."""
+def prepare_simulation(
+    config: DatasetConfig | None = None,
+    monitor: Iterable[str] | None = None,
+) -> SimulationRun:
+    """Build the engine, system, faultload and monitoring for one run.
+
+    ``monitor`` names the gauge variables the run's collector samples
+    every ``config.sample_interval``: ``None`` samples every gauge of
+    :meth:`SCPSystem.all_gauges`, and an empty collection builds no
+    collector, so the store stays empty.  A run that reads only its logs
+    and SLA (an evaluation run) passes ``()``; a training run passes the
+    variables it trains on.  Gauge reads draw no random numbers and
+    change no state, so the scope changes only the store and the
+    engine's event count.
+    """
     config = config or DatasetConfig()
     engine = Engine()
     streams = RandomStreams(config.seed)
     system = SCPSystem(engine, streams, config.scp)
     store = TimeSeriesStore()
-    collector = PeriodicCollector(
-        engine, store, system.all_gauges(), interval=config.sample_interval
+    gauges = system.all_gauges()
+    if monitor is not None:
+        wanted = set(monitor)
+        unknown = sorted(wanted.difference(gauge.variable for gauge in gauges))
+        if unknown:
+            raise ConfigurationError(f"unknown gauges: {unknown}")
+        gauges = [gauge for gauge in gauges if gauge.variable in wanted]
+    collector = (
+        PeriodicCollector(engine, store, gauges, interval=config.sample_interval)
+        if gauges
+        else None
     )
 
     # Background error noise on every component (never fails by itself).

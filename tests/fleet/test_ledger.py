@@ -135,6 +135,32 @@ class TestCorruptionTolerance:
             handle.write(json.dumps(entry) + "\n")
         assert list(ShardLedger(str(path)).load()) == [RunSpec(seed=1).key()]
 
+    def test_changed_result_value_skipped(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        ledger = ShardLedger(str(path))
+        ledger.append(_result(1))
+        ledger.append(
+            RunResult(spec=RunSpec(seed=2), availability=0.987654, failures=2)
+        )
+        assert ledger.load()[RunSpec(seed=2).key()].availability == 0.987654
+        text = path.read_text()
+        assert text.count("0.987654") == 1
+        path.write_text(text.replace("0.987654", "0.987655"))
+        # The flipped digit costs the shard a re-run, never a wrong value.
+        assert list(ShardLedger(str(path)).load()) == [RunSpec(seed=1).key()]
+
+    def test_line_without_a_digest_skipped(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        ledger = ShardLedger(str(path))
+        ledger.append(_result(1))
+        entry = json.loads(path.read_text())
+        assert entry["version"] == 2
+        # A version-1 line: same result, no digest.
+        del entry["digest"]
+        entry["version"] = 1
+        path.write_text(json.dumps(entry) + "\n")
+        assert ShardLedger(str(path)).load() == {}
+
     def test_key_spec_mismatch_skipped(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
         ledger = ShardLedger(str(path))

@@ -69,6 +69,22 @@ class TestTimeSeriesStore:
         matrix = store.matrix(["x", "y"], [5.0, 15.0])
         np.testing.assert_array_equal(matrix, [[0.0, 0.0], [10.0, -10.0]])
 
+    def test_matrix_rejects_unrecorded_variables(self):
+        store = TimeSeriesStore()
+        store.record(0.0, "x", 1.0)
+        with pytest.raises(ConfigurationError, match="typo"):
+            store.matrix(["x", "typo"], [0.0, 1.0])
+        # A failed read leaves the store as it was.
+        assert store.variables == ["x"]
+        assert "typo" not in store
+
+    def test_matrix_rejects_a_series_without_samples(self):
+        store = TimeSeriesStore()
+        store.record(0.0, "x", 1.0)
+        store.series("empty")
+        with pytest.raises(ConfigurationError, match="empty"):
+            store.matrix(["x", "empty"], [0.0])
+
     def test_matrix_empty_variables(self):
         store = TimeSeriesStore()
         matrix = store.matrix([], [0.0, 1.0])
