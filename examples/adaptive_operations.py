@@ -16,7 +16,7 @@ This demo:
    and :class:`FaultTypeClassifier` (what kind of fault?) -- on the
    pre-failure windows of the simulation's fault episodes.
 
-Run:  python examples/adaptive_operations.py        (takes ~1 minute)
+Run:  python examples/adaptive_operations.py        (takes about 10 s)
 """
 
 

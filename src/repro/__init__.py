@@ -7,7 +7,7 @@ This package reproduces the system described in Salfner & Malek,
 - ``repro.faults``       -- fault -> error -> symptom -> failure chain
 - ``repro.monitoring``   -- monitoring infrastructure (time series + error log)
 - ``repro.telecom``      -- synthetic telecom SCP case-study system
-- ``repro.markov``       -- DTMC/CTMC/HMM/HSMM mathematics
+- ``repro.markov``       -- DTMC/CTMC/semi-Markov/HSMM mathematics
 - ``repro.prediction``   -- online failure prediction (UBF, HSMM, baselines)
 - ``repro.actions``      -- prediction-driven countermeasures
 - ``repro.reliability``  -- CTMC availability/reliability/hazard model

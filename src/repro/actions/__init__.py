@@ -8,13 +8,10 @@ Two goals, five action classes:
 - **Downtime minimization**:
   :class:`~repro.actions.checkpoint.PreparedRepairAction` (checkpointing /
   prepared recovery) and
-  :class:`~repro.actions.restart.PreventiveRestartAction` (rejuvenation,
-  with :class:`~repro.actions.restart.RecursiveMicroreboot` escalation).
+  :class:`~repro.actions.restart.PreventiveRestartAction` (rejuvenation).
 
 :mod:`~repro.actions.selection` implements the objective function trading
-cost, prediction confidence, success probability and complexity;
-:mod:`~repro.actions.scheduler` defers execution to low-utilization
-moments.
+cost, prediction confidence, success probability and complexity.
 """
 
 from repro.actions.base import (
@@ -31,8 +28,7 @@ from repro.actions.checkpoint import (
 from repro.actions.cleanup import StateCleanupAction
 from repro.actions.failover import PreventiveFailoverAction
 from repro.actions.load import LowerLoadAction
-from repro.actions.restart import PreventiveRestartAction, RecursiveMicroreboot
-from repro.actions.scheduler import ActionScheduler
+from repro.actions.restart import PreventiveRestartAction
 from repro.actions.selection import ActionSelector, SelectionContext
 
 __all__ = [
@@ -47,8 +43,6 @@ __all__ = [
     "PreventiveFailoverAction",
     "LowerLoadAction",
     "PreventiveRestartAction",
-    "RecursiveMicroreboot",
-    "ActionScheduler",
     "ActionSelector",
     "SelectionContext",
 ]

@@ -62,21 +62,3 @@ class PreventiveFailoverAction(Action):
             peer=peer.name,
         )
 
-
-class RestoreBalanceAction(Action):
-    """Undo failovers: reset all load-balancer weights to uniform.
-
-    Used after the failure-prone component has been repaired so capacity
-    is not left idle.
-    """
-
-    name = "restore-balance"
-    category = ActionCategory.DOWNTIME_AVOIDANCE
-    cost = 0.1
-    complexity = 0.2
-    success_probability = 1.0
-
-    def execute(self, system: SCPSystem, target: str) -> ActionOutcome:
-        for name in system.weights:
-            system.set_weight(name, 1.0)
-        return self._outcome(system, target, success=True)

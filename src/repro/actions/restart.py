@@ -2,9 +2,7 @@
 
 "Preventive restart intentionally brings the system down for restart
 turning unplanned downtime into forced downtime, which is expected to be
-shorter (fail fast policy)."  Includes the recovery-oriented-computing
-variant where "restarting is organized recursively until the problem is
-solved" (recursive microreboots, Candea et al.).
+shorter (fail fast policy)."
 """
 
 from __future__ import annotations
@@ -54,63 +52,3 @@ class PreventiveRestartAction(Action):
             forced=True,
         )
 
-
-class RecursiveMicroreboot(Action):
-    """Escalating restart: component -> tier -> whole system.
-
-    Each level restarts a progressively larger scope with progressively
-    longer downtime; escalation happens when the previous level did not
-    clear the degradation (leaked memory / corruption remain because they
-    live outside the restarted scope).
-    """
-
-    name = "recursive-microreboot"
-    category = ActionCategory.DOWNTIME_MINIMIZATION
-    cost = 2.0
-    complexity = 2.5
-    success_probability = 0.98
-
-    def __init__(
-        self,
-        level_durations: tuple[float, ...] = (20.0, 60.0, 300.0),
-        **kwargs,
-    ) -> None:
-        super().__init__(**kwargs)
-        if not level_durations:
-            raise ConfigurationError("need at least one escalation level")
-        self.level_durations = level_durations
-        self.escalations = 0
-
-    def execute(self, system: SCPSystem, target: str) -> ActionOutcome:
-        component = system.component(target)
-        # Level 0: microreboot the service processes only -- instant-ish,
-        # clears corruption and hung workers but not the container's heap.
-        level = 0
-        component.corruption = 0.0
-        component.restore_capacity()
-        if component.leaked_mb > 0.05 * component.memory_mb:
-            # Level 1: restart the whole container (clears all its state).
-            if len(self.level_durations) > 1:
-                level = 1
-                self.escalations += 1
-                system.restart_component(target, self.level_durations[1])
-            # Level 2: peers are also degraded -> restart the tier.
-            peers_degraded = [
-                c
-                for c in system.containers
-                if c.name != target
-                and (c.leaked_mb > 0.05 * c.memory_mb or c.corruption > 0.5)
-            ]
-            if peers_degraded and len(self.level_durations) > 2:
-                level = 2
-                self.escalations += 1
-                for peer in peers_degraded:
-                    if peer.restarting_until is None:
-                        system.restart_component(peer.name, self.level_durations[2])
-        return self._outcome(
-            system,
-            target,
-            success=True,
-            escalation_level=level,
-            downtime=self.level_durations[level] if level > 0 else 0.0,
-        )

@@ -19,7 +19,6 @@ from repro.core.experiment import (
     run_closed_loop,
 )
 from repro.core.mea import EvaluationResult, MEACycle, MEARecord, StepFailure
-from repro.core.translucency import LayerInsight, TranslucencyReport
 
 __all__ = [
     "BlueprintArchitecture",
@@ -34,6 +33,4 @@ __all__ = [
     "MEACycle",
     "MEARecord",
     "StepFailure",
-    "LayerInsight",
-    "TranslucencyReport",
 ]

@@ -5,21 +5,14 @@ become visible: faults (testing), undetected errors (auditing), symptoms
 (monitoring), detected errors (reporting) and failures (tracking).  This
 package provides the corresponding record types, fault classifications,
 fault injectors (used by the telecom simulator to create realistic failure
-behaviour) and error detectors (coding / timing / plausibility /
-replication checks, Sect. 4.3).
+behaviour) and the SCP's timing check (an error detector, Sect. 4.3).
 """
 
 from repro.faults.classification import (
     CristianFailureMode,
     FaultPersistence,
 )
-from repro.faults.detectors import (
-    CodingCheck,
-    ErrorDetector,
-    PlausibilityCheck,
-    ReplicationCheck,
-    TimingCheck,
-)
+from repro.faults.detectors import TimingCheck
 from repro.faults.faultload import FaultActivation, FaultLoad
 from repro.faults.injectors import (
     FaultInjector,
@@ -41,10 +34,6 @@ from repro.faults.model import (
 __all__ = [
     "CristianFailureMode",
     "FaultPersistence",
-    "CodingCheck",
-    "ErrorDetector",
-    "PlausibilityCheck",
-    "ReplicationCheck",
     "TimingCheck",
     "FaultActivation",
     "FaultLoad",

@@ -1,135 +1,40 @@
-"""Error detectors (the paper's Sect. 4.3 detection mechanisms).
+"""Error detection (the paper's Sect. 4.3 detection mechanisms).
 
 "Detection mechanisms such as coding checks, replication checks, timing
-checks or plausibility checks trigger the recovery."  Detectors turn an
-incorrect state into a *detected* error, i.e. an
-:class:`~repro.faults.model.ErrorRecord` with ``detected=True`` suitable
-for the error log.
+checks or plausibility checks trigger the recovery."  The SCP runs a timing
+check: it turns an observed response time above the deadline into a
+*detected* error, i.e. an :class:`~repro.faults.model.ErrorRecord` with
+``detected=True`` suitable for the error log.
 """
 
 from __future__ import annotations
 
-import abc
-import zlib
-from typing import Any, Sequence
-
 from repro.faults.model import ErrorRecord
 
 
-class ErrorDetector(abc.ABC):
-    """Base class: checks one aspect of system state."""
+class TimingCheck:
+    """Flags observations (response times) above a deadline."""
 
-    #: Message-id block for errors raised by this detector family.
-    message_base = 900
+    #: Message id of the errors this check reports.
+    message_id = 910
 
-    def __init__(self, component: str) -> None:
+    def __init__(self, component: str, deadline: float) -> None:
         self.component = component
+        self.deadline = deadline
         self.checks_run = 0
         self.errors_found = 0
 
-    def check(self, time: float, observation: Any) -> ErrorRecord | None:
-        """Run the check; returns an error record when the state is bad."""
+    def check(self, time: float, observation: float) -> ErrorRecord | None:
+        """Run the check; returns an error record when the deadline is missed."""
         self.checks_run += 1
-        problem = self._evaluate(observation)
-        if problem is None:
-            return None
-        self.errors_found += 1
-        return ErrorRecord(
-            time=time,
-            message_id=self.message_base,
-            component=self.component,
-            detected=True,
-            message=problem,
-        )
-
-    @abc.abstractmethod
-    def _evaluate(self, observation: Any) -> str | None:
-        """Return a problem description, or None when the state is fine."""
-
-
-class TimingCheck(ErrorDetector):
-    """Flags observations (response times) above a deadline."""
-
-    message_base = 910
-
-    def __init__(self, component: str, deadline: float) -> None:
-        super().__init__(component)
-        self.deadline = deadline
-
-    def _evaluate(self, observation: Any) -> str | None:
         value = float(observation)
         if value > self.deadline:
-            return f"deadline exceeded: {value:.4f} > {self.deadline:.4f}"
+            self.errors_found += 1
+            return ErrorRecord(
+                time=time,
+                message_id=self.message_id,
+                component=self.component,
+                detected=True,
+                message=f"deadline exceeded: {value:.4f} > {self.deadline:.4f}",
+            )
         return None
-
-
-class PlausibilityCheck(ErrorDetector):
-    """Flags values outside a plausible [low, high] range."""
-
-    message_base = 920
-
-    def __init__(self, component: str, low: float, high: float) -> None:
-        super().__init__(component)
-        if low > high:
-            raise ValueError("low must not exceed high")
-        self.low = low
-        self.high = high
-
-    def _evaluate(self, observation: Any) -> str | None:
-        value = float(observation)
-        if not self.low <= value <= self.high:
-            return f"implausible value {value:.4f} outside [{self.low}, {self.high}]"
-        return None
-
-
-class CodingCheck(ErrorDetector):
-    """Checksum-based corruption detection over byte payloads.
-
-    ``check`` expects ``(payload: bytes, expected_crc: int)`` tuples; the
-    expected CRC is what the writer stored alongside the data.
-    """
-
-    message_base = 930
-
-    def _evaluate(self, observation: Any) -> str | None:
-        payload, expected_crc = observation
-        actual = zlib.crc32(payload)
-        if actual != expected_crc:
-            return f"checksum mismatch: {actual:#010x} != {expected_crc:#010x}"
-        return None
-
-    @staticmethod
-    def protect(payload: bytes) -> tuple[bytes, int]:
-        """Produce a ``(payload, crc)`` pair for later verification."""
-        return payload, zlib.crc32(payload)
-
-
-class ReplicationCheck(ErrorDetector):
-    """Majority voting over replicated results.
-
-    ``check`` expects a sequence of replica outputs; a disagreement of any
-    replica with the majority is a detected error.
-    """
-
-    message_base = 940
-
-    def _evaluate(self, observation: Any) -> str | None:
-        replicas: Sequence[Any] = list(observation)
-        if len(replicas) < 2:
-            return None
-        counts: dict[Any, int] = {}
-        for value in replicas:
-            counts[value] = counts.get(value, 0) + 1
-        majority_value, majority_count = max(counts.items(), key=lambda kv: kv[1])
-        if majority_count == len(replicas):
-            return None
-        dissent = len(replicas) - majority_count
-        return f"{dissent}/{len(replicas)} replicas disagree with majority {majority_value!r}"
-
-    @staticmethod
-    def majority(replicas: Sequence[Any]) -> Any:
-        """The majority value (ties broken by first occurrence)."""
-        counts: dict[Any, int] = {}
-        for value in replicas:
-            counts[value] = counts.get(value, 0) + 1
-        return max(counts.items(), key=lambda kv: kv[1])[0]

@@ -9,7 +9,6 @@ This subpackage is a self-contained substrate providing:
   reliability / hazard-rate curves of the paper's Sect. 5.4,
 - :mod:`repro.markov.distributions` -- discrete duration distributions for
   semi-Markov models,
-- :mod:`repro.markov.hmm` -- discrete hidden Markov models,
 - :mod:`repro.markov.hsmm` -- hidden semi-Markov models with explicit state
   durations, the pattern-recognition engine behind the HSMM failure
   predictor of Sect. 3.2.
@@ -19,13 +18,10 @@ from repro.markov.ctmc import CTMC
 from repro.markov.distributions import (
     DiscreteDuration,
     GeometricDuration,
-    NegativeBinomialDuration,
-    PoissonDuration,
     UniformDuration,
     EmpiricalDuration,
 )
 from repro.markov.dtmc import DTMC
-from repro.markov.hmm import HiddenMarkovModel
 from repro.markov.hsmm import HiddenSemiMarkovModel
 from repro.markov.phase_type import PhaseTypeDistribution
 from repro.markov.smp import SemiMarkovProcess, deterministic_rejuvenation_smp
@@ -35,11 +31,8 @@ __all__ = [
     "DTMC",
     "DiscreteDuration",
     "GeometricDuration",
-    "NegativeBinomialDuration",
-    "PoissonDuration",
     "UniformDuration",
     "EmpiricalDuration",
-    "HiddenMarkovModel",
     "HiddenSemiMarkovModel",
     "PhaseTypeDistribution",
     "SemiMarkovProcess",

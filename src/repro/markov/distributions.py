@@ -56,15 +56,13 @@ class DiscreteDuration(abc.ABC):
         return int(rng.choice(np.arange(1, self.max_duration + 1), p=self.pmf()))
 
     @staticmethod
-    def _weighted_moments(weights: np.ndarray) -> tuple[float, float]:
+    def _weighted_mean(weights: np.ndarray) -> float:
         weights = np.clip(np.asarray(weights, dtype=float), 0.0, None)
         total = weights.sum()
         durations = np.arange(1, len(weights) + 1, dtype=float)
         if total <= 0:
-            return 1.0, 0.0
-        mean = float(weights @ durations / total)
-        var = float(weights @ (durations - mean) ** 2 / total)
-        return mean, var
+            return 1.0
+        return float(weights @ durations / total)
 
 
 class GeometricDuration(DiscreteDuration):
@@ -86,57 +84,8 @@ class GeometricDuration(DiscreteDuration):
         return self._normalize(raw)
 
     def fit(self, weights: np.ndarray) -> None:
-        mean, _ = self._weighted_moments(weights)
+        mean = self._weighted_mean(weights)
         self.p = float(np.clip(1.0 / max(mean, 1.0), 1e-6, 1.0))
-
-
-class PoissonDuration(DiscreteDuration):
-    """Shifted Poisson durations (support starts at 1)."""
-
-    def __init__(self, max_duration: int, rate: float = 1.0) -> None:
-        super().__init__(max_duration)
-        if rate < 0:
-            raise ModelError("rate must be non-negative")
-        self.rate = float(rate)
-
-    def pmf(self) -> np.ndarray:
-        import scipy.stats  # deferred: ~0.5 s to import, and only two pmfs use it
-
-        d = np.arange(0, self.max_duration)
-        raw = scipy.stats.poisson.pmf(d, self.rate)
-        return self._normalize(raw)
-
-    def fit(self, weights: np.ndarray) -> None:
-        mean, _ = self._weighted_moments(weights)
-        self.rate = max(mean - 1.0, 1e-6)
-
-
-class NegativeBinomialDuration(DiscreteDuration):
-    """Shifted negative-binomial durations -- flexible mean/variance."""
-
-    def __init__(self, max_duration: int, r: float = 2.0, p: float = 0.5) -> None:
-        super().__init__(max_duration)
-        if r <= 0 or not 0 < p < 1:
-            raise ModelError("need r > 0 and 0 < p < 1")
-        self.r = float(r)
-        self.p = float(p)
-
-    def pmf(self) -> np.ndarray:
-        import scipy.stats  # deferred: see PoissonDuration.pmf
-
-        d = np.arange(0, self.max_duration)
-        raw = scipy.stats.nbinom.pmf(d, self.r, self.p)
-        return self._normalize(raw)
-
-    def fit(self, weights: np.ndarray) -> None:
-        mean, var = self._weighted_moments(weights)
-        mean = max(mean - 1.0, 1e-6)  # shift back to support {0, 1, ...}
-        var = max(var, mean + 1e-6)  # nbinom requires var > mean
-        # Moment matching: mean = r(1-p)/p, var = r(1-p)/p^2.
-        p = mean / var
-        r = mean * p / max(1.0 - p, 1e-9)
-        self.p = float(np.clip(p, 1e-6, 1.0 - 1e-6))
-        self.r = max(float(r), 1e-6)
 
 
 class UniformDuration(DiscreteDuration):

@@ -1,37 +1,25 @@
 """Monitoring infrastructure (the "M" of the MEA cycle).
 
-The blueprint (paper Sect. 6) demands a pluggable, runtime-adaptable
-monitoring layer producing two kinds of data:
+The monitoring layer produces two kinds of data:
 
 - periodic numeric samples of system variables (symptom monitoring;
   SAR-style) -- :class:`~repro.monitoring.timeseries.TimeSeriesStore` fed
-  by :class:`~repro.monitoring.collectors.PeriodicCollector`,
+  by :class:`~repro.monitoring.collectors.PeriodicCollector`, which reads
+  a list of :class:`~repro.monitoring.collectors.Gauge` objects,
 - event-driven error reports (detected error reporting) --
   :class:`~repro.monitoring.logbook.ErrorLog`.
-
-:class:`~repro.monitoring.sources.SourceRegistry` provides the pluggable
-data-source registry, and
-:class:`~repro.monitoring.adaptive.AdaptiveMonitor` implements on-the-fly
-adjustment of sampling rates.
 """
 
-from repro.monitoring.adaptive import AdaptiveMonitor
 from repro.monitoring.collectors import Gauge, PeriodicCollector, sar_gauges
 from repro.monitoring.logbook import ErrorLog, FailureLog
-from repro.monitoring.records import MonitoringRecord
-from repro.monitoring.sources import MonitoringSource, SourceRegistry
 from repro.monitoring.timeseries import TimeSeries, TimeSeriesStore
 
 __all__ = [
-    "AdaptiveMonitor",
     "Gauge",
     "PeriodicCollector",
     "sar_gauges",
     "ErrorLog",
     "FailureLog",
-    "MonitoringRecord",
-    "MonitoringSource",
-    "SourceRegistry",
     "TimeSeries",
     "TimeSeriesStore",
 ]

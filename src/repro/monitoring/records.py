@@ -8,15 +8,6 @@ import numpy as np
 
 
 @dataclass(frozen=True)
-class MonitoringRecord:
-    """One sample of one monitored variable."""
-
-    time: float
-    variable: str
-    value: float
-
-
-@dataclass(frozen=True)
 class EventSequence:
     """An event-driven temporal sequence of error events.
 

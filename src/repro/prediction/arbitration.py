@@ -43,7 +43,7 @@ from repro.prediction.base import (
     PredictorInfo,
     TrainingData,
 )
-from repro.prediction.calibration import make_calibrator
+from repro.prediction.calibration import PlattScaling
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
 
 #: Criticality assigned to members the spec does not name explicitly.
@@ -98,8 +98,8 @@ class NoisyOrArbitrator(Predictor):
     every predictor must be a :class:`~repro.prediction.base.Predictor`.
     ``fit`` trains every member on the shared
     :class:`~repro.prediction.base.TrainingData` bundle, then fits one
-    calibrator per member (Platt or isotonic) mapping that member's raw
-    scores on the aligned calibration panel to activation probabilities.
+    Platt calibrator per member mapping that member's raw scores on the
+    aligned calibration panel to activation probabilities.
 
     Scores returned by :meth:`score_batch` ARE calibrated system-level
     failure probabilities (``scores_are_probabilities``), so downstream
@@ -115,7 +115,6 @@ class NoisyOrArbitrator(Predictor):
         members,
         criticality: dict[str, float] | None = None,
         leak: float = 0.01,
-        calibration: str = "platt",
         telemetry: TelemetryHub = NULL_HUB,
     ) -> None:
         super().__init__()
@@ -136,8 +135,6 @@ class NoisyOrArbitrator(Predictor):
                 f"criticality map names unknown members: {sorted(unknown)}"
             )
         self.leak = float(leak)
-        self.calibration = calibration
-        make_calibrator(calibration)  # validate the method name eagerly
         self.telemetry = telemetry
         #: Optional live event-window source, bound by the controller:
         #: a callable ``(n) -> list[EventSequence]`` supplying the event
@@ -150,7 +147,7 @@ class NoisyOrArbitrator(Predictor):
             category="meta/arbitration",
             description=(
                 f"Noisy-OR fusion of [{', '.join(names)}] "
-                f"({calibration}-calibrated, leak={self.leak})"
+                f"(platt-calibrated, leak={self.leak})"
             ),
         )
 
@@ -209,9 +206,7 @@ class NoisyOrArbitrator(Predictor):
             for member in self.members:
                 member.predictor.fit(data)
                 raw = np.asarray(member.predictor.score_batch(batch), dtype=float)
-                member.calibrator = make_calibrator(self.calibration).fit(
-                    raw, data.labels
-                )
+                member.calibrator = PlattScaling().fit(raw, data.labels)
         self._fitted = True
         return self
 

@@ -80,104 +80,3 @@ class PlattScaling:
     def __call__(self, score: float) -> float:
         return float(self.predict_proba(np.array([score]))[0])
 
-
-class IsotonicCalibration:
-    """Monotone nonparametric calibration via pool-adjacent-violators.
-
-    Fits the monotone step function minimizing squared error between
-    calibrated probabilities and labels — no shape assumption, so it can
-    capture saturation or plateaus Platt's logistic cannot.  Predictions
-    interpolate linearly between block centers and clamp to the fitted
-    range, which keeps the map monotone under extrapolation.
-    """
-
-    def __init__(self, y_min: float = 0.0, y_max: float = 1.0):
-        self.y_min = float(y_min)
-        self.y_max = float(y_max)
-        self.x_: np.ndarray | None = None
-        self.y_: np.ndarray | None = None
-
-    def fit(self, scores: np.ndarray, labels: np.ndarray) -> "IsotonicCalibration":
-        scores = np.asarray(scores, dtype=float).ravel()
-        labels = np.asarray(labels, dtype=float).ravel()
-        if scores.shape != labels.shape:
-            raise ConfigurationError("scores and labels must align")
-        if bool((labels > 0).all()) or bool((labels > 0).sum() == 0):
-            raise ConfigurationError("need both classes to calibrate")
-        order = np.argsort(scores, kind="stable")
-        xs = scores[order]
-        ys = labels[order]
-        # Pool adjacent violators: merge blocks until means are monotone.
-        block_y: list[float] = []  # block mean
-        block_w: list[float] = []  # block weight (count)
-        block_x: list[float] = []  # block score centroid
-        for x, y in zip(xs, ys, strict=True):
-            block_y.append(float(y))
-            block_w.append(1.0)
-            block_x.append(float(x))
-            while len(block_y) > 1 and block_y[-2] >= block_y[-1]:
-                y1, w1 = block_y.pop(), block_w.pop()
-                x1 = block_x.pop()
-                y0, w0 = block_y.pop(), block_w.pop()
-                x0 = block_x.pop()
-                w = w0 + w1
-                block_y.append((w0 * y0 + w1 * y1) / w)
-                block_x.append((w0 * x0 + w1 * x1) / w)
-                block_w.append(w)
-        self.x_ = np.asarray(block_x)
-        self.y_ = np.clip(np.asarray(block_y), self.y_min, self.y_max)
-        return self
-
-    def predict_proba(self, scores: np.ndarray) -> np.ndarray:
-        """Calibrated ``P(failure)`` per score."""
-        if self.x_ is None or self.y_ is None:
-            raise NotFittedError("IsotonicCalibration has not been fitted")
-        scores = np.asarray(scores, dtype=float)
-        if self.x_.size == 1:
-            return np.full(scores.shape, float(self.y_[0]))
-        return np.interp(scores, self.x_, self.y_)
-
-    def __call__(self, score: float) -> float:
-        return float(self.predict_proba(np.array([score]))[0])
-
-
-#: Calibrator names accepted by :func:`make_calibrator` / ensemble specs.
-CALIBRATORS = ("platt", "isotonic")
-
-
-def make_calibrator(method: str = "platt"):
-    """Instantiate a calibrator by name (``"platt"`` or ``"isotonic"``)."""
-    if method == "platt":
-        return PlattScaling()
-    if method == "isotonic":
-        return IsotonicCalibration()
-    raise ConfigurationError(
-        f"unknown calibration method {method!r}; choose from {CALIBRATORS}"
-    )
-
-
-def expected_calibration_error(
-    probabilities: np.ndarray,
-    labels: np.ndarray,
-    n_bins: int = 10,
-) -> float:
-    """ECE: mean |empirical positive rate - predicted probability| per bin,
-    weighted by bin occupancy.  0 = perfectly calibrated."""
-    probabilities = np.asarray(probabilities, dtype=float).ravel()
-    labels = np.asarray(labels, dtype=bool).ravel()
-    if probabilities.shape != labels.shape:
-        raise ConfigurationError("probabilities and labels must align")
-    if n_bins < 1:
-        raise ConfigurationError("need at least one bin")
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    total = probabilities.size
-    ece = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:], strict=True):
-        mask = (probabilities >= lo) & (
-            (probabilities < hi) if hi < 1.0 else (probabilities <= hi)
-        )
-        if not mask.any():
-            continue
-        gap = abs(float(labels[mask].mean()) - float(probabilities[mask].mean()))
-        ece += mask.sum() / total * gap
-    return float(ece)

@@ -4,17 +4,12 @@ Sect. 6: "Online change point detection algorithms such as [Basseville &
 Nikiforov] can be used to determine whether the parameters have to be
 re-adjusted" when system behaviour drifts (updates, reconfigurations).
 
-Two classic detectors are provided -- two-sided CUSUM and Page-Hinkley --
-plus :class:`RetrainingTrigger`, which watches a stream of predictor
-scores (or any drift indicator) and fires a callback when the stream's
-level shifts.
+:class:`CUSUM` is the classic two-sided detector;
+:class:`~repro.prediction.adaptive.AdaptiveRetrainingPredictor` feeds it a
+predictor's scores and retrains when their level shifts.
 """
 
 from __future__ import annotations
-
-from typing import Callable
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -60,65 +55,3 @@ class CUSUM:
             return True
         return False
 
-
-class PageHinkley:
-    """Page-Hinkley test for upward mean shifts."""
-
-    def __init__(self, threshold: float = 10.0, delta: float = 0.05) -> None:
-        if threshold <= 0 or delta < 0:
-            raise ConfigurationError("need threshold > 0 and delta >= 0")
-        self.threshold = threshold
-        self.delta = delta
-        self.reset()
-
-    def reset(self) -> None:
-        self.cumulative = 0.0
-        self.minimum = 0.0
-        self.samples_seen = 0
-        self._mean = 0.0
-
-    def update(self, value: float) -> bool:
-        self.samples_seen += 1
-        self._mean += (value - self._mean) / self.samples_seen
-        self.cumulative += value - self._mean - self.delta
-        self.minimum = min(self.minimum, self.cumulative)
-        if self.cumulative - self.minimum > self.threshold:
-            self.reset()
-            return True
-        return False
-
-
-class RetrainingTrigger:
-    """Watches a drift indicator and fires a retraining callback.
-
-    Typical indicator streams: a predictor's score on fresh data, its
-    rolling false-positive rate, or a monitored variable's residual.
-    """
-
-    def __init__(
-        self,
-        on_drift: Callable[[], None],
-        detector: CUSUM | PageHinkley | None = None,
-        cooldown: int = 50,
-    ) -> None:
-        if cooldown < 0:
-            raise ConfigurationError("cooldown must be >= 0")
-        self.on_drift = on_drift
-        self.detector = detector or CUSUM()
-        self.cooldown = cooldown
-        self._since_last = cooldown  # allow an immediate first trigger
-        self.triggers = 0
-
-    def observe(self, value: float) -> bool:
-        """Feed one indicator value; returns True when retraining fired."""
-        self._since_last += 1
-        if self.detector.update(value) and self._since_last >= self.cooldown:
-            self._since_last = 0
-            self.triggers += 1
-            self.on_drift()
-            return True
-        return False
-
-    def observe_many(self, values: np.ndarray) -> int:
-        """Feed a batch; returns the number of retraining events."""
-        return sum(int(self.observe(float(v))) for v in np.asarray(values).ravel())

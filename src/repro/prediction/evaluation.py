@@ -68,7 +68,7 @@ def report_from_scores(
 def _require_chronological(times: np.ndarray) -> np.ndarray:
     """Validate that ``times`` is a non-empty, non-decreasing 1-D series.
 
-    The split helpers use ``times[0]``/``times[-1]`` as the covered span;
+    The split uses ``times[0]``/``times[-1]`` as the covered span;
     on unsorted input that silently yields leaky train/test masks, so
     out-of-order timestamps are a configuration error.
     """
@@ -151,80 +151,6 @@ def evaluate_event_predictor(
     )
     predictor.set_threshold(report.threshold)
     return report
-
-
-@dataclass(frozen=True)
-class RollingOriginResult:
-    """Per-fold reports of a rolling-origin evaluation."""
-
-    reports: list[PredictorReport]
-
-    @property
-    def mean_auc(self) -> float:
-        return float(np.mean([r.auc for r in self.reports]))
-
-    @property
-    def worst_auc(self) -> float:
-        return float(min(r.auc for r in self.reports))
-
-    def summary(self) -> str:
-        lines = [report.row() for report in self.reports]
-        lines.append(f"mean AUC = {self.mean_auc:.3f}, worst fold = {self.worst_auc:.3f}")
-        return "\n".join(lines)
-
-
-def rolling_origin_evaluation(
-    predictor_factory,
-    times: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    labels: np.ndarray,
-    n_folds: int = 3,
-    min_train_fraction: float = 0.4,
-) -> RollingOriginResult:
-    """Rolling-origin (walk-forward) evaluation of a symptom predictor.
-
-    Fold ``i`` trains on everything before cut ``i`` and tests on the span
-    up to cut ``i+1`` -- the honest protocol for time-ordered failure data,
-    and a robustness check against lucky single splits.  Skips folds whose
-    test span lacks both classes.
-
-    ``predictor_factory`` must return a *fresh* unfitted predictor per fold.
-    """
-    if n_folds < 2:
-        raise ConfigurationError("need at least 2 folds")
-    if not 0 < min_train_fraction < 1:
-        raise ConfigurationError("min_train_fraction must be in (0, 1)")
-    times = _require_chronological(times)
-    labels = np.asarray(labels, dtype=bool)
-    span = times[-1] - times[0]
-    cuts = [
-        times[0] + span * (min_train_fraction + (1 - min_train_fraction) * k / n_folds)
-        for k in range(n_folds + 1)
-    ]
-    reports: list[PredictorReport] = []
-    for k in range(n_folds):
-        train_mask = times <= cuts[k]
-        test_mask = (times > cuts[k]) & (times <= cuts[k + 1])
-        if not labels[test_mask].any() or labels[test_mask].all():
-            continue
-        if not labels[train_mask].any():
-            continue
-        predictor = predictor_factory()
-        reports.append(
-            evaluate_symptom_predictor(
-                predictor,
-                x[train_mask],
-                y[train_mask],
-                labels[train_mask],
-                x[test_mask],
-                labels[test_mask],
-                name=f"fold-{k}",
-            )
-        )
-    if not reports:
-        raise ConfigurationError("no evaluable fold (labels too sparse)")
-    return RollingOriginResult(reports=reports)
 
 
 def roc_points(

@@ -39,7 +39,6 @@ grids and the CLI can declare a fused panel in one JSON value::
         "members": ["ubf", {"name": "hsmm", "n_states": 5}, "trend"],
         "criticality": {"ubf": 1.0, "hsmm": 0.9, "trend": 0.5},
         "leak": 0.01,
-        "calibration": "platt",
     })
 
 :func:`normalize_predictor_spec` canonicalizes and validates such specs
@@ -267,7 +266,6 @@ def _make_noisy_or(
     members=(),
     criticality: dict | None = None,
     leak: float = 0.01,
-    calibration: str = "platt",
     **params,
 ):
     from repro.prediction.arbitration import NoisyOrArbitrator
@@ -295,7 +293,6 @@ def _make_noisy_or(
         panel,
         criticality=spec.get("criticality") or None,
         leak=leak,
-        calibration=calibration,
     )
 
 

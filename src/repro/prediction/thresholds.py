@@ -2,8 +2,7 @@
 
 "Many failure predictors (including UBF and HSMM) allow to control this
 trade-off by use of a threshold."  The paper evaluates at the threshold
-maximizing the F-measure; the precision-equals-recall point is the other
-common single-number choice.
+maximizing the F-measure.
 """
 
 from __future__ import annotations
@@ -24,20 +23,6 @@ def max_f_threshold(scores: np.ndarray, labels: np.ndarray) -> tuple[float, floa
         )
     best = int(np.argmax(f))
     return float(thresholds[best]), float(f[best])
-
-
-def precision_recall_equality_threshold(
-    scores: np.ndarray, labels: np.ndarray
-) -> tuple[float, float]:
-    """Threshold where precision is closest to recall.
-
-    Returns ``(threshold, value_at_equality)`` where the value is the mean
-    of precision and recall at that point.
-    """
-    precision, recall, thresholds = precision_recall_curve(scores, labels)
-    gap = np.abs(precision - recall)
-    best = int(np.argmin(gap))
-    return float(thresholds[best]), float(0.5 * (precision[best] + recall[best]))
 
 
 def table_at_max_f(scores: np.ndarray, labels: np.ndarray) -> ContingencyTable:

@@ -13,8 +13,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-_BLOCKS = " .:-=+*#%@"
-
 
 def ascii_chart(
     series: dict[str, Sequence[float]],
@@ -59,39 +57,6 @@ def ascii_chart(
     )
     lines.append(" " * 13 + legend)
     return "\n".join(lines)
-
-
-def ascii_histogram(
-    values: Sequence[float], bins: int = 10, width: int = 40
-) -> str:
-    """Horizontal-bar histogram of a sample."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ConfigurationError("need at least one value")
-    counts, edges = np.histogram(values, bins=bins)
-    peak = counts.max() if counts.max() > 0 else 1
-    lines = []
-    for count, lo, hi in zip(counts, edges[:-1], edges[1:], strict=True):
-        bar = "#" * int(round(count / peak * width))
-        lines.append(f"[{lo:10.3g}, {hi:10.3g}) {count:6d} {bar}")
-    return "\n".join(lines)
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """One-line intensity rendering of a series."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return ""
-    lo, hi = float(np.nanmin(values)), float(np.nanmax(values))
-    span = (hi - lo) or 1.0
-    chars = []
-    for value in values:
-        if not np.isfinite(value):
-            chars.append("?")
-            continue
-        level = int((value - lo) / span * (len(_BLOCKS) - 1))
-        chars.append(_BLOCKS[level])
-    return "".join(chars)
 
 
 def table(

@@ -5,10 +5,8 @@ PFM experiments.  It provides:
 
 - :class:`~repro.simulator.engine.Engine` -- event queue and clock,
 - generator-based :class:`~repro.simulator.process.Process` coroutines that
-  ``yield`` :class:`~repro.simulator.events.Timeout`,
-  :class:`~repro.simulator.events.Signal` waits or resource requests,
-- :class:`~repro.simulator.resources.Resource` /
-  :class:`~repro.simulator.resources.Store` with FIFO queueing,
+  ``yield`` :class:`~repro.simulator.events.Timeout` or
+  :class:`~repro.simulator.events.Signal` waits,
 - :class:`~repro.simulator.random_streams.RandomStreams` -- named,
   reproducible random-number streams.
 """
@@ -17,7 +15,6 @@ from repro.simulator.engine import Engine
 from repro.simulator.events import Event, Signal, Timeout
 from repro.simulator.process import Process
 from repro.simulator.random_streams import RandomStreams
-from repro.simulator.resources import Resource, Store
 
 __all__ = [
     "Engine",
@@ -26,6 +23,4 @@ __all__ = [
     "Timeout",
     "Process",
     "RandomStreams",
-    "Resource",
-    "Store",
 ]

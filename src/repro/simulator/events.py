@@ -1,10 +1,9 @@
 """Event primitives for the discrete-event engine.
 
-Three things can sit in a process's ``yield``:
+Two things can sit in a process's ``yield``:
 
 - :class:`Timeout` -- resume after a simulated delay,
-- :class:`Signal` -- resume when another process triggers the signal,
-- a resource request (see :mod:`repro.simulator.resources`).
+- :class:`Signal` -- resume when another process triggers the signal.
 
 :class:`Event` is the handle :meth:`Engine.schedule` returns (the engine
 queues it as ``(time, priority, seq, event)``); user code rarely

@@ -3,11 +3,10 @@
 A process is a Python generator that yields what it is waiting for:
 
 - ``yield Timeout(d)``            -- sleep for ``d`` time units,
-- ``yield signal``                -- wait until ``signal.trigger()``,
-- ``yield resource.request()``    -- wait until the resource is granted.
+- ``yield signal``                -- wait until ``signal.trigger()``.
 
 The value sent back into the generator is the payload of the wake-up (the
-signal's trigger payload, or the resource grant).
+signal's trigger payload, or ``None`` after a timeout).
 """
 
 from __future__ import annotations
@@ -51,9 +50,6 @@ class Process:
             self.engine.schedule(yielded.delay, lambda: self.resume(None))
         elif isinstance(yielded, Signal):
             yielded._register(self, self.engine)
-        elif hasattr(yielded, "_register_waiter"):
-            # Resource/Store request objects implement the waiter protocol.
-            yielded._register_waiter(self)
         else:
             raise SimulationError(
                 f"process {self.name!r} yielded an unsupported object: {yielded!r}"

@@ -2,11 +2,11 @@
 
 Each :class:`Component` models one container/tier element: it has service
 capacity, memory, and degradation state (leaked memory, hung workers,
-latent corruption, background load).  Components implement both the
+latent corruption, background load).  Components implement the
 fault-injection target protocol (:class:`repro.faults.injectors.InjectionTarget`)
-and the monitoring-source protocol
-(:class:`repro.monitoring.sources.MonitoringSource`), so injectors and the
-monitoring layer plug in without knowing telecom internals.
+and expose their state as :class:`repro.monitoring.collectors.Gauge` lists,
+so injectors and the monitoring layer plug in without knowing telecom
+internals.
 
 The performance model is an M/M/c-style approximation evaluated per
 simulation tick: the *stretch* (response time inflation) grows with
@@ -149,7 +149,7 @@ class Component:
         )
 
     # ------------------------------------------------------------------
-    # MonitoringSource protocol
+    # Monitoring
     # ------------------------------------------------------------------
 
     def gauges(self) -> list[Gauge]:

@@ -8,7 +8,6 @@ from repro.actions import (
     PreventiveFailoverAction,
     StateCleanupAction,
 )
-from repro.actions.failover import RestoreBalanceAction
 from repro.actions.load import RestoreLoadAction
 
 
@@ -69,11 +68,6 @@ class TestPreventiveFailover:
     def test_not_applicable_when_already_drained(self, scp):
         scp.set_weight("container-0", 0.0)
         assert not PreventiveFailoverAction().applicable(scp, "container-0")
-
-    def test_restore_balance(self, scp):
-        PreventiveFailoverAction().execute(scp, "container-0")
-        RestoreBalanceAction().execute(scp, "container-0")
-        assert all(w == 1.0 for w in scp.weights.values())
 
 
 class TestLowerLoad:

@@ -1,6 +1,6 @@
 import pytest
 
-from repro.actions import PreventiveRestartAction, RecursiveMicroreboot
+from repro.actions import PreventiveRestartAction
 from repro.errors import ConfigurationError
 
 
@@ -41,36 +41,3 @@ class TestPreventiveRestart:
         with pytest.raises(ConfigurationError):
             PreventiveRestartAction(restart_duration=0.0)
 
-
-class TestRecursiveMicroreboot:
-    def test_level0_clears_corruption_instantly(self, scp):
-        container = scp.containers[0]
-        container.corrupt_state(1.0)
-        container.degrade_capacity(0.3)
-        outcome = RecursiveMicroreboot().execute(scp, "container-0")
-        assert outcome.details["escalation_level"] == 0
-        assert container.corruption == 0.0
-        assert container.degraded_fraction == 0.0
-        assert container.restarting_until is None  # no downtime at level 0
-
-    def test_escalates_to_container_restart_on_heavy_leak(self, scp):
-        container = scp.containers[0]
-        container.leak_memory(0.3 * container.memory_mb)
-        action = RecursiveMicroreboot()
-        outcome = action.execute(scp, "container-0")
-        assert outcome.details["escalation_level"] >= 1
-        assert container.restarting_until is not None
-        assert action.escalations >= 1
-
-    def test_escalates_to_tier_when_peers_degraded(self, scp):
-        for container in scp.containers:
-            container.leak_memory(0.3 * container.memory_mb)
-        outcome = RecursiveMicroreboot().execute(scp, "container-0")
-        assert outcome.details["escalation_level"] == 2
-        assert all(
-            c.restarting_until is not None for c in scp.containers
-        )
-
-    def test_rejects_empty_levels(self):
-        with pytest.raises(ConfigurationError):
-            RecursiveMicroreboot(level_durations=())

@@ -1,7 +1,5 @@
 """Engine behaviour: suppressions, parse errors, discovery, fingerprints."""
 
-import textwrap
-
 from repro.devtools.lint.engine import (
     PARSE_ERROR_RULE,
     iter_python_files,

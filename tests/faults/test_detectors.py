@@ -1,11 +1,4 @@
-import pytest
-
-from repro.faults import (
-    CodingCheck,
-    PlausibilityCheck,
-    ReplicationCheck,
-    TimingCheck,
-)
+from repro.faults import TimingCheck
 
 
 class TestTimingCheck:
@@ -15,7 +8,8 @@ class TestTimingCheck:
         assert record is not None
         assert record.component == "scp"
         assert record.detected
-        assert "deadline" in record.message
+        assert record.message_id == 910
+        assert record.message == "deadline exceeded: 0.4000 > 0.2500"
 
     def test_passes_fast_response(self):
         check = TimingCheck("scp", deadline=0.25)
@@ -28,63 +22,3 @@ class TestTimingCheck:
         assert check.checks_run == 2
         assert check.errors_found == 1
 
-
-class TestPlausibilityCheck:
-    def test_range_check(self):
-        check = PlausibilityCheck("db", low=0.0, high=100.0)
-        assert check.check(0.0, 50.0) is None
-        assert check.check(0.0, -1.0) is not None
-        assert check.check(0.0, 101.0) is not None
-
-    def test_boundaries_are_plausible(self):
-        check = PlausibilityCheck("db", low=0.0, high=100.0)
-        assert check.check(0.0, 0.0) is None
-        assert check.check(0.0, 100.0) is None
-
-    def test_rejects_inverted_range(self):
-        with pytest.raises(ValueError):
-            PlausibilityCheck("db", low=5.0, high=1.0)
-
-
-class TestCodingCheck:
-    def test_roundtrip_passes(self):
-        check = CodingCheck("store")
-        protected = CodingCheck.protect(b"hello world")
-        assert check.check(0.0, protected) is None
-
-    def test_corruption_detected(self):
-        check = CodingCheck("store")
-        payload, crc = CodingCheck.protect(b"hello world")
-        corrupted = (b"hellX world", crc)
-        record = check.check(0.0, corrupted)
-        assert record is not None
-        assert "checksum" in record.message
-
-
-class TestReplicationCheck:
-    def test_agreement_passes(self):
-        check = ReplicationCheck("votes")
-        assert check.check(0.0, [1, 1, 1]) is None
-
-    def test_minority_dissent_detected(self):
-        check = ReplicationCheck("votes")
-        record = check.check(0.0, [1, 1, 2])
-        assert record is not None
-        assert "1/3" in record.message
-
-    def test_single_replica_cannot_disagree(self):
-        check = ReplicationCheck("votes")
-        assert check.check(0.0, [5]) is None
-
-    def test_majority_helper(self):
-        assert ReplicationCheck.majority([1, 2, 2, 3]) == 2
-
-    def test_distinct_message_bases(self):
-        # Each detector family logs under its own message-id block.
-        bases = {
-            TimingCheck.message_base,
-            PlausibilityCheck.message_base,
-            CodingCheck.message_base,
-            ReplicationCheck.message_base,
-        }
-        assert len(bases) == 4

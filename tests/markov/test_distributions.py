@@ -5,15 +5,11 @@ from repro.errors import ModelError
 from repro.markov import (
     EmpiricalDuration,
     GeometricDuration,
-    NegativeBinomialDuration,
-    PoissonDuration,
     UniformDuration,
 )
 
 ALL_CLASSES = [
     GeometricDuration,
-    PoissonDuration,
-    NegativeBinomialDuration,
     UniformDuration,
     EmpiricalDuration,
 ]
@@ -67,30 +63,6 @@ class TestGeometric:
     def test_rejects_bad_p(self):
         with pytest.raises(ModelError):
             GeometricDuration(5, p=0.0)
-
-
-class TestPoisson:
-    def test_fit_matches_mean(self):
-        dist = PoissonDuration(30)
-        weights = np.zeros(30)
-        weights[5] = 50.0  # duration 6 -> rate ~ 5
-        dist.fit(weights)
-        assert dist.rate == pytest.approx(5.0)
-        assert dist.mean() == pytest.approx(6.0, rel=0.05)
-
-
-class TestNegativeBinomial:
-    def test_fit_handles_overdispersion(self):
-        dist = NegativeBinomialDuration(40)
-        rng = np.random.default_rng(0)
-        samples = 1 + rng.negative_binomial(3, 0.3, size=2000)
-        weights = np.bincount(samples, minlength=41)[1:41].astype(float)
-        dist.fit(weights)
-        assert dist.mean() == pytest.approx(samples[samples <= 40].mean(), rel=0.1)
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ModelError):
-            NegativeBinomialDuration(5, r=-1.0)
 
 
 class TestUniform:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from repro.monitoring import MonitoringRecord
 from repro.monitoring.records import EventSequence
 
 
@@ -31,8 +30,3 @@ class TestEventSequence:
         seq = EventSequence(times=[1, 2], message_ids=[1.0, 2.0])
         assert seq.times.dtype == float
         assert seq.message_ids.dtype == int
-
-
-def test_monitoring_record_fields():
-    record = MonitoringRecord(time=1.0, variable="cpu", value=0.7)
-    assert (record.time, record.variable, record.value) == (1.0, "cpu", 0.7)

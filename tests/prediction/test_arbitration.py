@@ -12,7 +12,6 @@ from repro.errors import ConfigurationError, NotFittedError
 from repro.prediction import (
     ArbitrationMember,
     NoisyOrArbitrator,
-    PredictionBatch,
     TrainingData,
 )
 from repro.prediction.base import SymptomPredictor
@@ -143,10 +142,6 @@ class TestValidation:
         assert member.criticality == 0.5
         assert member.calibrator is None
 
-    def test_unknown_calibration_rejected_eagerly(self):
-        with pytest.raises(ConfigurationError):
-            NoisyOrArbitrator([("a", ColumnScorer())], calibration="magic")
-
     def test_fit_requires_labels(self, rng):
         arbitrator = NoisyOrArbitrator([("a", ColumnScorer())])
         with pytest.raises(ConfigurationError):
@@ -206,14 +201,6 @@ class TestProtocol:
 
     def test_consumes_is_union(self, fitted):
         assert fitted.consumes == frozenset({"samples"})
-
-    def test_isotonic_panel_fits_and_scores(self, panel_data):
-        arbitrator = NoisyOrArbitrator(
-            [("a", ColumnScorer(0)), ("b", ColumnScorer(1))],
-            calibration="isotonic",
-        ).fit(panel_data)
-        fused = arbitrator.score_batch(panel_data.batch())
-        assert np.all((fused >= 0.0) & (fused <= 1.0))
 
     def test_informative_panel_separates_classes(self, fitted, panel_data):
         fused = fitted.score_batch(panel_data.batch())

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.prediction.changepoint import CUSUM, PageHinkley, RetrainingTrigger
+from repro.prediction.changepoint import CUSUM
 
 
 def shifted_stream(rng, n_before=200, n_after=200, shift=3.0):
@@ -39,48 +39,3 @@ class TestCUSUM:
         with pytest.raises(ConfigurationError):
             CUSUM(drift=-1.0)
 
-
-class TestPageHinkley:
-    def test_detects_upward_shift(self, rng):
-        detector = PageHinkley(threshold=25.0, delta=0.1)
-        stream = shifted_stream(rng)
-        alarms = [i for i, v in enumerate(stream) if detector.update(float(v))]
-        assert alarms and 200 <= alarms[0] < 280
-
-    def test_quiet_stream(self, rng):
-        detector = PageHinkley(threshold=25.0, delta=0.1)
-        alarms = sum(
-            detector.update(float(v)) for v in rng.standard_normal(2000)
-        )
-        assert alarms <= 2
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            PageHinkley(threshold=-1.0)
-
-
-class TestRetrainingTrigger:
-    def test_callback_fired_on_drift(self, rng):
-        fired = []
-        trigger = RetrainingTrigger(
-            on_drift=lambda: fired.append(True),
-            detector=CUSUM(threshold=8.0, drift=0.5),
-            cooldown=0,
-        )
-        count = trigger.observe_many(shifted_stream(rng))
-        assert count >= 1
-        assert len(fired) == count
-        assert trigger.triggers == count
-
-    def test_cooldown_suppresses_rapid_retriggers(self, rng):
-        trigger = RetrainingTrigger(
-            on_drift=lambda: None,
-            detector=CUSUM(threshold=3.0, drift=0.1),
-            cooldown=10_000,
-        )
-        count = trigger.observe_many(shifted_stream(rng, shift=5.0))
-        assert count <= 1
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RetrainingTrigger(on_drift=lambda: None, cooldown=-1)

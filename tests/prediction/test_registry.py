@@ -133,11 +133,14 @@ class TestNestedSpecs:
         with pytest.raises(ConfigurationError):
             normalize_predictor_spec({"name": "noisy-or", "members": []})
 
-    def test_unknown_spec_keys_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_predictor(
-                {"name": "noisy-or", "members": ["ubf"], "frobnicate": 1}
-            )
+    @pytest.mark.parametrize(
+        "extra",
+        [{"frobnicate": 1}, {"calibration": "platt"}],
+        ids=["frobnicate", "calibration"],
+    )
+    def test_unknown_spec_keys_rejected(self, extra):
+        with pytest.raises(ConfigurationError, match="unknown noisy-or spec keys"):
+            make_predictor({"name": "noisy-or", "members": ["ubf"], **extra})
 
     def test_make_predictor_from_nested_dict(self):
         predictor = make_predictor(self.NESTED, seed=3)

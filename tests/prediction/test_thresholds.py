@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.prediction import max_f_threshold, precision_recall_equality_threshold
+from repro.prediction import max_f_threshold
 from repro.prediction.metrics import ContingencyTable
 from repro.prediction.thresholds import table_at_max_f
 
@@ -37,27 +37,6 @@ class TestMaxF:
         for candidate in np.linspace(0, 1, 23):
             table = ContingencyTable.from_scores(scores, labels, candidate)
             assert table.f_measure <= best_f + 1e-12
-
-
-class TestPrecisionRecallEquality:
-    def test_equality_point_on_separable_data(self):
-        scores, labels = separable()
-        threshold, value = precision_recall_equality_threshold(scores, labels)
-        table = ContingencyTable.from_scores(scores, labels, threshold)
-        assert table.precision == pytest.approx(table.recall)
-        assert value == pytest.approx(1.0)
-
-    def test_gap_is_minimal(self, rng):
-        scores = rng.random(400)
-        labels = (scores + 0.5 * rng.standard_normal(400)) > 0.7
-        if not labels.any():
-            pytest.skip("degenerate draw")
-        threshold, _ = precision_recall_equality_threshold(scores, labels)
-        table = ContingencyTable.from_scores(scores, labels, threshold)
-        achieved_gap = abs(table.precision - table.recall)
-        for candidate in np.quantile(scores, np.linspace(0.01, 0.99, 33)):
-            other = ContingencyTable.from_scores(scores, labels, candidate)
-            assert achieved_gap <= abs(other.precision - other.recall) + 1e-9
 
 
 def test_table_at_max_f_consistent():

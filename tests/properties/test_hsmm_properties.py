@@ -1,10 +1,10 @@
-"""Hypothesis property tests for the HMM/HSMM machinery."""
+"""Hypothesis property tests for the HSMM machinery."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.markov import HiddenMarkovModel, HiddenSemiMarkovModel
+from repro.markov import HiddenSemiMarkovModel
 from tests.markov.hsmm_reference import reference_twin
 
 
@@ -12,37 +12,6 @@ def symbol_sequences(n_symbols=3, min_len=2, max_len=20):
     return st.lists(
         st.integers(0, n_symbols - 1), min_size=min_len, max_size=max_len
     )
-
-
-class TestHMMProperties:
-    @given(symbol_sequences(), st.integers(0, 2**31 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_likelihood_is_log_probability(self, sequence, seed):
-        model = HiddenMarkovModel(2, 3, np.random.default_rng(seed))
-        assert model.log_likelihood(sequence) <= 1e-9
-
-    @given(symbol_sequences(min_len=2, max_len=8), st.integers(0, 2**31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_extending_sequence_lowers_likelihood(self, sequence, seed):
-        model = HiddenMarkovModel(2, 3, np.random.default_rng(seed))
-        shorter = model.log_likelihood(sequence[:-1]) if len(sequence) > 1 else 0.0
-        assert model.log_likelihood(sequence) <= shorter + 1e-9
-
-    @given(symbol_sequences(), st.integers(0, 2**31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_viterbi_path_valid(self, sequence, seed):
-        model = HiddenMarkovModel(3, 3, np.random.default_rng(seed))
-        path = model.viterbi(sequence)
-        assert len(path) == len(sequence)
-        assert all(0 <= s < 3 for s in path)
-
-    @given(symbol_sequences(), st.integers(0, 2**31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_posterior_rows_are_distributions(self, sequence, seed):
-        model = HiddenMarkovModel(2, 3, np.random.default_rng(seed))
-        gamma = model.posterior_states(sequence)
-        np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-9)
-        assert np.all(gamma >= -1e-12)
 
 
 class TestHSMMProperties:

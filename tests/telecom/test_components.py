@@ -2,7 +2,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults.injectors import InjectionTarget
-from repro.monitoring.sources import MonitoringSource
 from repro.telecom import Component, Tier
 
 
@@ -21,9 +20,6 @@ def make_component(**kwargs):
 class TestProtocols:
     def test_implements_injection_target(self):
         assert isinstance(make_component(), InjectionTarget)
-
-    def test_implements_monitoring_source(self):
-        assert isinstance(make_component(), MonitoringSource)
 
     def test_gauges_readable(self):
         component = make_component()

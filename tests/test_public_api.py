@@ -47,9 +47,8 @@ def test_all_exports_resolve(name):
 def test_public_imports_leave_scipy_stats_unloaded():
     """``scipy.stats`` stays off the import path: it costs about 0.5 s.
 
-    Only the Poisson and negative-binomial duration pmfs use it, and they
-    import it when called.  A fresh interpreter imports every package
-    above and resolves every name it exports.
+    No ``repro`` module uses it.  A fresh interpreter imports every
+    package above and resolves every name it exports.
     """
     code = (
         "import importlib, sys\n"

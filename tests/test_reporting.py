@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.reporting import ascii_chart, ascii_histogram, sparkline, table
+from repro.reporting import ascii_chart, table
 
 
 class TestAsciiChart:
@@ -34,37 +33,6 @@ class TestAsciiChart:
     def test_constant_series_does_not_crash(self):
         chart = ascii_chart({"flat": [5.0, 5.0, 5.0]}, width=10, height=4)
         assert "o" in chart
-
-
-class TestHistogram:
-    def test_bar_lengths_proportional(self, rng):
-        values = np.concatenate([np.zeros(90), np.ones(10)])
-        hist = ascii_histogram(values, bins=2, width=30)
-        lines = hist.splitlines()
-        assert lines[0].count("#") > lines[1].count("#")
-
-    def test_counts_shown(self):
-        hist = ascii_histogram([1.0, 1.0, 2.0], bins=2)
-        assert "2" in hist and "1" in hist
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ascii_histogram([])
-
-
-class TestSparkline:
-    def test_length_matches(self):
-        assert len(sparkline([1, 2, 3, 4])) == 4
-
-    def test_monotone_intensity(self):
-        line = sparkline([0.0, 0.5, 1.0])
-        assert line[0] == " " and line[-1] == "@"
-
-    def test_nan_marked(self):
-        assert "?" in sparkline([0.0, float("nan"), 1.0])
-
-    def test_empty(self):
-        assert sparkline([]) == ""
 
 
 class TestTable:
