@@ -8,6 +8,11 @@ availability plus the measured telemetry overhead in
 sidecars merged into ``fleet_trace.jsonl``) lands in
 ``benchmarks/telemetry_sample/`` so CI can publish it as an artifact.
 
+The enabled overhead is the median (with quartiles) over alternated
+pairs of one attacked PFM shard run with telemetry off and on, as a fleet
+shard runs it untraced.  Three single comparisons once read +0.1%,
++34.1% and -9.4% on a shared 2-core host: one pair cannot tell.
+
 Three invariants are enforced:
 
 - **observation must not perturb**: both runs produce identical
@@ -26,6 +31,7 @@ Three invariants are enforced:
 
 import json
 import shutil
+import statistics
 import time
 from collections import Counter
 from pathlib import Path
@@ -35,6 +41,7 @@ import pytest
 from repro.resilience.campaign import (
     CampaignConfig,
     PFMFaultScenario,
+    _run_scenario,
     _train_models,
     campaign_specs,
     run_campaign,
@@ -51,6 +58,8 @@ SAMPLE_DIR = Path(__file__).with_name("telemetry_sample")
 
 HORIZON = 0.5 * 86_400.0
 SEED = 11
+#: Alternated telemetry off/on pairs behind the enabled-overhead median.
+ENABLED_PAIRS = 10
 
 
 def _config(**telemetry_kwargs) -> CampaignConfig:
@@ -113,6 +122,37 @@ def _disabled_hook_cost(iterations: int = 200_000) -> float:
     return (time.perf_counter() - start) / iterations
 
 
+def _paired_enabled_overhead(trained) -> dict:
+    """Telemetry-on vs -off CPU time of the attacked shard, in pairs.
+
+    Each pair runs the shard once per side, alternating which side goes
+    first; its overhead is ``(on - off) / off`` of the run's CPU seconds,
+    which other tenants of a shared host do not inflate the way they do
+    wall seconds.  Returns the median and quartiles over the pairs.
+    """
+    off_spec = campaign_specs(_config())[-1]
+    on_spec = campaign_specs(_config(telemetry=True))[-1]
+    cpu: dict[str, list[float]] = {"off": [], "on": []}
+    for pair in range(ENABLED_PAIRS):
+        sides = [("off", off_spec), ("on", on_spec)]
+        for side, spec in sides if pair % 2 == 0 else reversed(sides):
+            start = time.process_time()
+            _run_scenario(spec, trained)
+            cpu[side].append(time.process_time() - start)
+    overheads = [
+        100.0 * (on - off) / off for on, off in zip(cpu["on"], cpu["off"], strict=True)
+    ]
+    q1, median, q3 = statistics.quantiles(overheads, n=4, method="inclusive")
+    return {
+        "scenario": off_spec.scenario,
+        "pairs": ENABLED_PAIRS,
+        "median_pct": median,
+        "quartiles_pct": [q1, q3],
+        "cpu_seconds_disabled_median": statistics.median(cpu["off"]),
+        "cpu_seconds_enabled_median": statistics.median(cpu["on"]),
+    }
+
+
 @pytest.mark.slow
 def test_bench_campaign_telemetry_overhead(benchmark):
     plain_config = _config()
@@ -145,10 +185,7 @@ def test_bench_campaign_telemetry_overhead(benchmark):
     wall_off = sum(
         r.wall_seconds for r in [plain.healthy, *plain.attacked]
     )
-    wall_on = sum(
-        r.wall_seconds for r in [instrumented.healthy, *instrumented.attacked]
-    )
-    enabled_overhead = (wall_on - wall_off) / wall_off if wall_off else 0.0
+    enabled = _paired_enabled_overhead(trained)
 
     per_cycle = _disabled_cycle_cost()
     total_cycles = sum(
@@ -179,8 +216,7 @@ def test_bench_campaign_telemetry_overhead(benchmark):
         },
         "telemetry": {
             "wall_seconds_disabled": wall_off,
-            "wall_seconds_enabled": wall_on,
-            "enabled_overhead_pct": 100.0 * enabled_overhead,
+            "enabled_overhead": enabled,
             "disabled_per_cycle_us": per_cycle * 1e6,
             "disabled_overhead_pct": 100.0 * disabled_overhead,
             "disabled_trace_hook_per_shard_us": per_shard * 1e6,
@@ -195,9 +231,10 @@ def test_bench_campaign_telemetry_overhead(benchmark):
 
     print("\n=== campaign telemetry overhead ===")
     print(f"PFM wall (telemetry off): {wall_off:.2f}s")
+    q1, q3 = enabled["quartiles_pct"]
     print(
-        f"PFM wall (telemetry on):  {wall_on:.2f}s "
-        f"({100.0 * enabled_overhead:+.1f}%)"
+        f"enabled telemetry, {enabled['scenario']} shard, {enabled['pairs']} "
+        f"pairs: median {enabled['median_pct']:+.1f}% [{q1:+.1f}%, {q3:+.1f}%]"
     )
     print(
         f"disabled-mode instrumentation: {per_cycle * 1e6:.2f}us/cycle "

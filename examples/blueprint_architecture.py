@@ -56,15 +56,16 @@ def main() -> None:
 
     print("\n=== Per-layer vs fused prediction quality (test period) ===")
     layer_scores = blueprint.layer_scores(x[test])
+    weights = blueprint.layer_report()
     for i, layer in enumerate(LAYER_VARIABLES):
         layer_auc = auc(layer_scores[:, i], y_fail[test])
         print(f"  {layer.value:<12s} AUC = {layer_auc:.3f}  "
+              f"weight = {weights[layer.value]:+.2f}  "
               f"(variables: {LAYER_VARIABLES[layer]})")
     fused_auc = auc(blueprint.score_samples(x[test]), y_fail[test])
     print(f"  {'stacked':<12s} AUC = {fused_auc:.3f}")
-    print(f"\nlearned combiner weights: {blueprint.layer_report()}")
-    print("The meta-learner weights the layers by how informative they are --")
-    print("the translucency the paper asks architectures to provide.")
+    print("\nEach weight is the layer's standardized level-1 coefficient, fitted")
+    print("on the training holdout; it need not follow the layer's test AUC.")
 
 
 if __name__ == "__main__":

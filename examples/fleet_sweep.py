@@ -3,12 +3,17 @@
 The paper's availability deltas (Sect. 5 / Eq. 14) are only meaningful
 as distributions over faultloads.  This example builds a small grid of
 closed-loop shards — one per master seed, sharing one trained predictor
-— fans it across a process pool with a checkpoint ledger, and prints the
-per-scenario availability distribution with its bootstrap confidence
-interval.  Kill it halfway and run it again: the ledger resumes from the
-completed shards.
+— fans it across a process pool, and prints the per-scenario
+availability distribution with its bootstrap confidence interval.
+
+A plain run computes every shard and writes no file.  With
+``--ledger PATH`` each finished shard is checkpointed there: kill the
+run halfway and start it again with the same path, and it resumes from
+the completed shards.  A ledger entry is keyed by the spec alone, so
+delete the file after changing the code, or it replays the old results.
 
 Run:  python examples/fleet_sweep.py [--serial] [--seeds N] [--days D]
+                                      [--ledger PATH]
 """
 
 import argparse
@@ -25,8 +30,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="number of master seeds (default 4)")
     parser.add_argument("--days", type=float, default=0.5,
                         help="simulated horizon per shard in days")
-    parser.add_argument("--ledger", default="fleet_sweep.jsonl",
-                        help="checkpoint file (resume skips completed shards)")
+    parser.add_argument("--ledger", default=None,
+                        help="checkpoint file to write and resume from "
+                             "(default: none, every shard runs)")
     args = parser.parse_args(argv)
 
     # One spec per master seed; train_seed pinned so every shard replays

@@ -63,6 +63,19 @@ def default_repertoire() -> list[Action]:
     ]
 
 
+def _clip_unit(value: float) -> float:
+    """``float(np.clip(value, 0.0, 1.0))`` for one number, without numpy.
+
+    Same results: NaN and -0.0 pass through unchanged, ±inf clip to the
+    bounds.
+    """
+    if value < 0.0:
+        return 0.0
+    if value > 1.0:
+        return 1.0
+    return float(value)
+
+
 @dataclass
 class WarningEpisode:
     """A raised warning and what was done about it."""
@@ -124,6 +137,7 @@ class PFMController:
         missing = [v for v in self.variables if v not in self._gauges]
         if missing:
             raise ConfigurationError(f"unknown gauges: {missing}")
+        self._raw_reads = [(v, self._raw_read(v)) for v in self.variables]
         self.selector = ActionSelector(list(self.repertoire))
         self._restore_load = RestoreLoadAction()
         self._throttled = False
@@ -234,17 +248,25 @@ class PFMController:
             return float(getattr(self.predictor, "simulated_latency", 0.0) or 0.0)
         return 0.0
 
-    def _read_variable(self, variable: str) -> float:
+    def _raw_read(self, variable: str):
+        """The raw read of one variable: its gauge, then the taps.
+
+        The taps are looked up at call time, so an injector that attaches
+        one after construction still sees every later read.
+        """
+        gauge_read = self._gauges[variable].read
+
         def raw() -> float:
-            value = float(self._gauges[variable].read())
+            value = float(gauge_read())
             for tap in self.observation_taps:
                 value = tap(variable, value)
             return value
 
-        return self.sanitizer.read(variable, raw).value
+        return raw
 
     def _monitor(self) -> np.ndarray:
-        return np.array([self._read_variable(v) for v in self.variables])
+        read = self.sanitizer.read
+        return np.array([read(name, raw).value for name, raw in self._raw_reads])
 
     def _live_windows(self, n: int) -> list:
         """``n`` copies of the error window ending now (arbitration seam).
@@ -288,7 +310,7 @@ class PFMController:
         # re-mapping it through Platt/scale would double-calibrate.
         source = self._arbitrator if self._arbitrator is not None else self.predictor
         if getattr(source, "scores_are_probabilities", False):
-            return float(np.clip(score, 0.0, 1.0))
+            return _clip_unit(score)
         if self._calibrator is not None:
             return self._calibrator(score)
         if self._score_scale is None:
@@ -296,7 +318,7 @@ class PFMController:
         low, high = self._score_scale
         if high <= low:
             return 1.0 if score >= low else 0.0
-        return float(np.clip((score - low) / (high - low), 0.0, 1.0))
+        return _clip_unit((score - low) / (high - low))
 
     def _suspect(self) -> str:
         """The most degraded container (simple diagnosis step)."""

@@ -22,10 +22,6 @@ class NotFittedError(ReproError):
     """Raised when a predictor is used before it has been trained."""
 
 
-class ConvergenceError(ReproError):
-    """Raised when an iterative fitting procedure fails to converge."""
-
-
 class ConfigurationError(ReproError):
     """Raised for invalid user-supplied configuration values."""
 

@@ -122,13 +122,13 @@ def _closed_loop_training_plan(spec: RunSpec):
 def _closed_loop_runner(spec: RunSpec) -> RunResult:
     from repro.core.experiment import run_closed_loop
     from repro.telemetry.hub import TelemetryHub
+    from repro.telemetry.sinks import NULL_SINK
+    from repro.telemetry.tracing import announce_shard_hub
 
     trained = cached_training(*_closed_loop_training_plan(spec))
-    hub = TelemetryHub() if spec.telemetry else None
-    if hub is not None:
-        from repro.telemetry.tracing import announce_shard_hub
-
-        announce_shard_hub(hub)
+    # Only a trace capture reads the events: announcing arms its sink.
+    hub = TelemetryHub(sink=NULL_SINK, keep_spans=False) if spec.telemetry else None
+    announce_shard_hub(hub)
     wall_start = time.perf_counter()
     result = run_closed_loop(spec, trained=trained, telemetry=hub)
     wall_seconds = time.perf_counter() - wall_start
@@ -143,7 +143,7 @@ def _closed_loop_runner(spec: RunSpec) -> RunResult:
         warnings_raised=result.warnings_raised,
         actions_taken=result.actions_taken,
         outcome_matrix=result.outcome_matrix,
-        telemetry_events=len(hub.events) if hub is not None else 0,
+        telemetry_events=hub.published_events if hub is not None else 0,
         metrics_state=hub.registry.to_state() if hub is not None else None,
         wall_seconds=wall_seconds,
     )

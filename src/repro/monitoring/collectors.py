@@ -2,7 +2,7 @@
 
 A :class:`Gauge` is a named zero-argument callable returning the current
 value of one system variable; :class:`PeriodicCollector` is a simulation
-process sampling all registered gauges at a (runtime-adjustable) interval.
+process sampling all registered gauges at a fixed interval.
 :func:`sar_gauges` names the variable set after the System Activity
 Reporter data the paper's case study used.
 """
@@ -50,7 +50,7 @@ def sar_gauges(reader: Callable[[str], float]) -> list[Gauge]:
 
 
 class PeriodicCollector:
-    """Samples gauges into a store at a fixed (but adjustable) interval."""
+    """Samples gauges into a store at a fixed interval."""
 
     def __init__(
         self,
@@ -89,12 +89,6 @@ class PeriodicCollector:
     def add_gauge(self, gauge: Gauge) -> None:
         """Plug in a new data source at runtime (blueprint requirement)."""
         self.gauges.append(gauge)
-
-    def set_interval(self, interval: float) -> None:
-        """Adjust the sampling rate on the fly (adaptive monitoring)."""
-        if interval <= 0:
-            raise ConfigurationError("sampling interval must be positive")
-        self.interval = interval
 
     def _resolve_probes(self) -> None:
         """Bind each gauge's read and each variable's series append."""

@@ -112,4 +112,10 @@ class StackedGeneralization:
         """Learned per-predictor weights (standardized scale)."""
         if not self._fitted:
             raise NotFittedError("StackedGeneralization has not been fitted")
-        return dict(zip(self.predictor_names, self.combiner.weights_[1:], strict=True))
+        return dict(
+            zip(
+                self.predictor_names,
+                (float(w) for w in self.combiner.weights_[1:]),
+                strict=True,
+            )
+        )

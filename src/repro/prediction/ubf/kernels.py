@@ -92,6 +92,40 @@ def kernel_radii(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("nik,nik->ni", diff, diff))
 
 
+def kernel_parameters(
+    gaussian_widths: np.ndarray,
+    sigmoid_widths: np.ndarray,
+    sigmoid_offsets: np.ndarray,
+    mixtures: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """The parameter-only arrays :func:`evaluate_kernels` needs.
+
+    Row vectors of the clamped Gaussian and sigmoid widths, the sigmoid
+    offsets, the clipped mixture weights ``m`` and ``1 - m``.  They depend
+    on the kernel parameters alone, so a fitted network computes them once.
+    """
+    m = np.clip(mixtures, 0.0, 1.0)[None, :]
+    return (
+        np.maximum(gaussian_widths, _MIN_WIDTH)[None, :],
+        np.maximum(sigmoid_widths, _MIN_WIDTH)[None, :],
+        sigmoid_offsets[None, :],
+        m,
+        1.0 - m,
+    )
+
+
+def evaluate_kernels(radii: np.ndarray, parameters: tuple) -> np.ndarray:
+    """``K[n, i] = k_i(x_n)`` from :func:`kernel_radii` and :func:`kernel_parameters`.
+
+    The row-wise functional form matches :class:`UBFKernel`.
+    """
+    gw, sw, b, m, one_minus_m = parameters
+    gaussian = np.exp(-0.5 * (radii / gw) ** 2)
+    z = np.clip((radii - b) / sw, -50.0, 50.0)
+    sigmoid = 1.0 / (1.0 + np.exp(z))
+    return m * gaussian + one_minus_m * sigmoid
+
+
 def kernel_matrix(
     radii: np.ndarray,
     gaussian_widths: np.ndarray,
@@ -101,14 +135,10 @@ def kernel_matrix(
 ) -> np.ndarray:
     """Vectorized design matrix ``K[n, i] = k_i(x_n)`` from :func:`kernel_radii`.
 
-    The row-wise functional form matches :class:`UBFKernel`; this bulk
-    version is what the trainer's inner loop uses.
+    What the trainer's inner loop evaluates, with parameters that change
+    on every call.
     """
-    gw = np.maximum(gaussian_widths, _MIN_WIDTH)[None, :]
-    sw = np.maximum(sigmoid_widths, _MIN_WIDTH)[None, :]
-    b = sigmoid_offsets[None, :]
-    m = np.clip(mixtures, 0.0, 1.0)[None, :]
-    gaussian = np.exp(-0.5 * (radii / gw) ** 2)
-    z = np.clip((radii - b) / sw, -50.0, 50.0)
-    sigmoid = 1.0 / (1.0 + np.exp(z))
-    return m * gaussian + (1.0 - m) * sigmoid
+    parameters = kernel_parameters(
+        gaussian_widths, sigmoid_widths, sigmoid_offsets, mixtures
+    )
+    return evaluate_kernels(radii, parameters)

@@ -26,7 +26,13 @@ import scipy.cluster.vq
 import scipy.optimize
 
 from repro.errors import ConfigurationError, NotFittedError
-from repro.prediction.ubf.kernels import UBFKernel, kernel_matrix, kernel_radii
+from repro.prediction.ubf.kernels import (
+    UBFKernel,
+    evaluate_kernels,
+    kernel_matrix,
+    kernel_parameters,
+    kernel_radii,
+)
 from repro.rng import ensure_rng
 
 
@@ -82,6 +88,8 @@ class UBFNetwork:
         self.mixtures: np.ndarray | None = None
         self.weights: np.ndarray | None = None  # [beta_0, beta_1..beta_K]
         self.training_mse_: float | None = None
+        #: kernel_parameters() of the fitted kernels; derived, not pickled.
+        self._kernel_parameters: tuple | None = None
 
     # ------------------------------------------------------------------
     # Fitting
@@ -135,7 +143,15 @@ class UBFNetwork:
             self.sigmoid_offsets,
             self.mixtures,
         )
-        return np.column_stack([np.ones(k.shape[0]), k])
+        return _with_bias(k)
+
+    def _fitted_kernel_parameters(self) -> tuple:
+        return kernel_parameters(
+            self.gaussian_widths,
+            self.sigmoid_widths,
+            self.sigmoid_offsets,
+            self.mixtures,
+        )
 
     def _solve_weights(self, design: np.ndarray, y: np.ndarray) -> np.ndarray:
         gram = design.T @ design
@@ -168,6 +184,7 @@ class UBFNetwork:
         self.weights = self._solve_weights(design, y)
         residual = design @ self.weights - y
         self.training_mse_ = float(np.mean(residual**2))
+        self._kernel_parameters = self._fitted_kernel_parameters()
 
     def _optimize_kernels(self, radii: np.ndarray, y: np.ndarray) -> None:
         if self.max_opt_iter <= 0:
@@ -230,7 +247,8 @@ class UBFNetwork:
         if not self._fitted:
             raise NotFittedError("UBFNetwork has not been fitted")
         radii = kernel_radii(self._standardize(x), self.centers)
-        return self._design(radii) @ self.weights
+        k = evaluate_kernels(radii, self._kernel_parameters)
+        return _with_bias(k) @ self.weights
 
     def kernels(self) -> list[UBFKernel]:
         """The fitted kernels as individual objects (for inspection)."""
@@ -250,3 +268,21 @@ class UBFNetwork:
     def __repr__(self) -> str:
         status = "fitted" if self._fitted else "unfitted"
         return f"UBFNetwork(n_kernels={self.n_kernels}, {status})"
+
+    def __getstate__(self) -> dict:
+        # The derived arrays are rebuilt on load: a pickle holds only the
+        # model, and models pickled before they existed still load.
+        state = self.__dict__.copy()
+        state.pop("_kernel_parameters", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._kernel_parameters = (
+            self._fitted_kernel_parameters() if self._fitted else None
+        )
+
+
+def _with_bias(k: np.ndarray) -> np.ndarray:
+    """The design matrix: a column of ones, then the kernel columns."""
+    return np.column_stack([np.ones(k.shape[0]), k])

@@ -55,6 +55,7 @@ from repro.resilience.sanitizer import GaugeSanitizer
 from repro.telecom.dataset import DatasetConfig, prepare_simulation
 from repro.telemetry import events as tel_events
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
+from repro.telemetry.sinks import NULL_SINK
 from repro.telemetry.tracing import announce_shard_hub
 
 #: Fleet scenario names of the two non-attacked campaign runs.
@@ -483,7 +484,8 @@ def _run_scenario(spec: RunSpec, trained: tuple) -> RunResult:
     # result reads only the SLA and failure log: no symptom collector.
     sim = prepare_simulation(eval_config, monitor=())
 
-    hub = TelemetryHub() if spec.telemetry else NULL_HUB
+    # Only a trace capture reads the events: announcing arms its sink.
+    hub = TelemetryHub(sink=NULL_SINK, keep_spans=False) if spec.telemetry else NULL_HUB
     announce_shard_hub(hub)
     rng = np.random.default_rng(config.injection_seed)
     predictor_proxy = FlakyPredictorProxy(primary, rng)
@@ -531,7 +533,7 @@ def _run_scenario(spec: RunSpec, trained: tuple) -> RunResult:
         attack_episodes=sum(injector.episodes for injector in injectors),
         resilience=controller.resilience_summary(),
         online_quality=controller.quality.summary() if spec.telemetry else {},
-        telemetry_events=len(hub.events),
+        telemetry_events=hub.published_events,
         metrics_state=hub.registry.to_state() if spec.telemetry else None,
         artifacts={"predictor_quality": quality} if quality else {},
         wall_seconds=wall_seconds,

@@ -15,6 +15,7 @@ made against the threshold of the model that produced the score.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -131,7 +132,7 @@ class FallbackPredictor:
         except Exception:
             self._record_fault(now, "exception")
             return None
-        if not np.isfinite(score):
+        if not math.isfinite(score):
             self._record_fault(now, "non-finite")
             return None
         self.breaker.record_success(now)
@@ -155,7 +156,7 @@ class FallbackPredictor:
             return ScoreResult(
                 score=float("nan"), warning=False, source="none", degraded=True
             )
-        if not np.isfinite(score):
+        if not math.isfinite(score):
             self.null_scores += 1
             return ScoreResult(
                 score=float("nan"), warning=False, source="none", degraded=True

@@ -37,6 +37,72 @@ from repro.telecom.workload import (
 )
 
 
+# ----------------------------------------------------------------------
+# Container reductions of the system gauges
+# ----------------------------------------------------------------------
+# A numpy reduction costs microseconds of call overhead on four values,
+# and every MEA cycle reads these gauges.  The plain-Python forms give
+# numpy's results bit for bit, so sampled series and decisions match it.
+
+
+def numpy_sum(values: list[float]) -> float:
+    """``float(np.sum(values))`` in plain Python, bit for bit.
+
+    numpy adds the pairwise sum of the values to a +0.0 start, so
+    ``numpy_sum([-0.0])`` is ``0.0``.  The pairwise sum adds fewer than 8
+    values left to right; 8 to 128 values in eight interleaved partial
+    sums combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the
+    values past the last full block of 8; more values as the sum of two
+    halves split at a multiple of 8.
+    """
+    return float(0.0 + _pairwise_sum(values, 0, len(values)))
+
+
+def _pairwise_sum(values: list[float], start: int, n: int) -> float:
+    if n < 8:
+        total = 0.0
+        for i in range(start, start + n):
+            total += values[i]
+        return total
+    if n <= 128:
+        r = list(values[start : start + 8])
+        blocks_end = start + n - n % 8
+        for i in range(start + 8, blocks_end, 8):
+            for j in range(8):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(blocks_end, start + n):
+            total += values[i]
+        return total
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(
+        values, start + half, n - half
+    )
+
+
+def numpy_mean(values: list[float]) -> float:
+    """``float(np.mean(values))`` in plain Python: the sum over the count."""
+    return numpy_sum(values) / len(values)
+
+
+def numpy_max(values: list[float]) -> float:
+    """``float(np.max(values))`` in plain Python.
+
+    NaN propagates (builtin ``max`` would skip it), and of two equal
+    values the later wins, so ``numpy_max([0.0, -0.0])`` is ``-0.0``.
+    numpy's vectorized loops may return either zero when +0.0 and -0.0
+    both attain the maximum; no gauge reads a negative zero.
+    """
+    best = values[0]
+    for value in values:
+        if math.isnan(best):
+            break
+        if not best > value:  # value >= best, or value is NaN
+            best = value
+    return float(best)
+
+
 @dataclass(frozen=True)
 class SCPConfig:
     """Configuration of the simulated SCP."""
@@ -324,19 +390,19 @@ class SCPSystem:
             Gauge("violation_prob", lambda: self.last_violation_prob),
             Gauge(
                 "cpu_utilization",
-                lambda: float(np.mean([c.utilization for c in self.containers])),
+                lambda: numpy_mean([c.utilization for c in self.containers]),
             ),
             Gauge(
                 "memory_free_mb",
-                lambda: float(np.sum([c.memory_free_mb for c in self.containers])),
+                lambda: numpy_sum([c.memory_free_mb for c in self.containers]),
             ),
             Gauge(
                 "swap_activity",
-                lambda: float(np.max([c.swap_activity for c in self.containers])),
+                lambda: numpy_max([c.swap_activity for c in self.containers]),
             ),
             Gauge(
                 "max_stretch",
-                lambda: float(np.max([c.last_stretch for c in self.containers])),
+                lambda: numpy_max([c.last_stretch for c in self.containers]),
             ),
             Gauge("db_utilization", lambda: self.database.utilization),
             Gauge(

@@ -14,6 +14,11 @@ the default everywhere: ``emit`` returns immediately, ``span`` returns
 the shared :data:`~repro.telemetry.spans.NULL_SPAN`, and the instrument
 accessors return the shared no-op instrument -- the disabled hot path
 performs no allocation and no I/O.
+
+An enabled hub whose sinks all drop events (a fleet shard's hub outside
+a trace capture) still keeps its metrics and counts what it publishes in
+:attr:`TelemetryHub.published_events`, but builds no event record and
+no span field dict.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.sinks import NULL_SINK, MemorySink
+from repro.telemetry.sinks import NULL_SINK, MemorySink, NullSink
 from repro.telemetry.spans import ERROR, NULL_SPAN, Span
 
 
@@ -71,9 +76,9 @@ class TelemetryHub:
         Usually bound after construction via :meth:`bind_clock` once the
         simulation engine exists.
     sink:
-        Where events go.  Defaults to a fresh :class:`MemorySink` for
-        enabled hubs (so exporters can read the run back) and the shared
-        :class:`NullSink` for disabled ones.
+        Where events go: anything with ``write(event)``.  Defaults to a
+        fresh :class:`MemorySink` for enabled hubs (so exporters can read
+        the run back) and the shared :class:`NullSink` for disabled ones.
     enabled:
         A disabled hub is a pure no-op; see :data:`NULL_HUB`.
     keep_spans:
@@ -95,11 +100,18 @@ class TelemetryHub:
         if sink is None:
             sink = MemorySink() if enabled else NULL_SINK
         self.sinks = [sink]
+        #: Whether any sink keeps events; when none does, no event is built.
+        self._recording = not isinstance(sink, NullSink)
+        #: Events published so far (``emit`` calls plus closed spans),
+        #: whether or not a sink kept them.
+        self.published_events = 0
         self.registry = MetricsRegistry(reservoir_size=reservoir_size)
         self.keep_spans = keep_spans
         self.finished_spans: list[Span] = []
         self._span_stack: list[Span] = []
         self._next_span_id = 1
+        #: span name -> its (span_wall_seconds, span_sim_seconds) pair.
+        self._span_histograms: dict[str, tuple[Histogram, Histogram]] = {}
 
     # ------------------------------------------------------------------
     # Wiring
@@ -117,8 +129,14 @@ class TelemetryHub:
         self._clock_bound = True
 
     def add_sink(self, sink) -> None:
-        """Publish events to an additional sink."""
+        """Publish later events to an additional sink (``write(event)``).
+
+        Ignored by a disabled hub, which publishes nothing.
+        """
+        if not self.enabled:
+            return
         self.sinks.append(sink)
+        self._recording = self._recording or not isinstance(sink, NullSink)
 
     @property
     def now(self) -> float:
@@ -140,6 +158,9 @@ class TelemetryHub:
     def emit(self, name: str, **fields: Any) -> None:
         """Publish one event at the current simulated time."""
         if not self.enabled:
+            return
+        self.published_events += 1
+        if not self._recording:
             return
         if self._span_stack:
             fields.setdefault("span_id", self._span_stack[-1].span_id)
@@ -208,12 +229,17 @@ class TelemetryHub:
             self._span_stack.pop()
         if self.keep_spans:
             self.finished_spans.append(span)
-        self.registry.histogram("span_wall_seconds", span=span.name).observe(
-            span.wall_duration
-        )
-        self.registry.histogram("span_sim_seconds", span=span.name).observe(
-            span.sim_duration
-        )
+        histograms = self._span_histograms.get(span.name)
+        if histograms is None:
+            histograms = self._span_histograms[span.name] = (
+                self.registry.histogram("span_wall_seconds", span=span.name),
+                self.registry.histogram("span_sim_seconds", span=span.name),
+            )
+        histograms[0].observe(span.wall_duration)
+        histograms[1].observe(span.sim_duration)
+        self.published_events += 1
+        if not self._recording:
+            return
         event = TelemetryEvent(
             time=span.sim_end, name=SPAN, fields=span.to_fields()
         )

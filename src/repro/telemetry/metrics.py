@@ -152,8 +152,21 @@ class MetricsRegistry:
         self.reservoir_size = reservoir_size
         self._kinds: dict[str, type] = {}
         self._metrics: dict[tuple[str, LabelSet], object] = {}
+        #: ``(kind, name, *label items in call order)`` -> instrument, for
+        #: calls whose label values are all strings.  A hot loop asking
+        #: for the same instrument again skips the sort and the ``str()``
+        #: of every label; other values always resolve the long way, so
+        #: ``x=1`` and ``x=True`` stay the distinct series "1" and "True".
+        self._resolved: dict[tuple, object] = {}
 
     def _get(self, kind: type, name: str, labels: dict[str, object], **kwargs):
+        call = (kind, name, *labels.items())
+        try:
+            metric = self._resolved.get(call)
+        except TypeError:  # an unhashable label value
+            metric = None
+        if metric is not None:
+            return metric
         bound = self._kinds.setdefault(name, kind)
         if bound is not kind:
             raise ConfigurationError(
@@ -164,6 +177,8 @@ class MetricsRegistry:
         if metric is None:
             metric = kind(name=name, labels=key[1], **kwargs)
             self._metrics[key] = metric
+        if all(type(value) is str for value in labels.values()):
+            self._resolved[call] = metric
         return metric
 
     def counter(self, name: str, **labels) -> Counter:

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from repro.atomicfile import write_atomic
 from repro.errors import ConfigurationError
 from repro.telemetry.hub import TelemetryHub
+from repro.telemetry.sinks import MemorySink
 
 #: Schema tag inside every sidecar header so future layouts can be
 #: detected, not guessed (mirrors the ledger's LEDGER_VERSION).
@@ -206,11 +207,16 @@ def end_shard_capture() -> list[TelemetryHub]:
 def announce_shard_hub(hub) -> None:
     """Scenario runners report the hub they built for the current shard.
 
-    A no-op outside a capture window (plain non-fleet runs) and for
-    disabled hubs (``NULL_HUB``), so call sites need no tracing-enabled
-    check of their own.
+    Inside a capture window this attaches the :class:`MemorySink` the
+    sidecar writer reads, so a runner builds its hub without one
+    (``TelemetryHub(sink=NULL_SINK, keep_spans=False)``) and keeps events
+    only while a trace is being captured.  Announce before the run
+    publishes anything.  A no-op outside a capture window (plain
+    non-fleet runs) and for disabled hubs (``NULL_HUB``), so call sites
+    need no tracing-enabled check of their own.
     """
     if _SHARD_HUBS is not None and hub is not None and getattr(hub, "enabled", False):
+        hub.add_sink(MemorySink())
         _SHARD_HUBS.append(hub)
 
 

@@ -43,22 +43,10 @@ class TestPeriodicCollector:
         engine.run(until=45.0)
         assert len(store.series("y")) == 3  # sampled at 20, 30, 40
 
-    def test_set_interval(self):
-        engine, store, _, collector = self.make(interval=10.0)
-        collector.start()
-        engine.schedule(20.5, lambda: collector.set_interval(5.0))
-        engine.run(until=41.0)
-        # 0,10,20 at 10s, then 30 fires on old schedule? No: interval read
-        # at each loop turn -> 0,10,20,30,35,40.
-        assert len(store.series("x")) == 6
-
     def test_rejects_bad_interval(self):
         engine = Engine()
         with pytest.raises(ConfigurationError):
             PeriodicCollector(engine, TimeSeriesStore(), [], interval=0.0)
-        collector = PeriodicCollector(engine, TimeSeriesStore(), [], interval=1.0)
-        with pytest.raises(ConfigurationError):
-            collector.set_interval(-1.0)
 
     def test_stop_then_start_keeps_one_loop(self):
         engine, store, _, collector = self.make(interval=10.0)

@@ -48,6 +48,7 @@ class TestStackedGeneralization:
         stack.fit(scores, labels)
         weights = stack.weights()
         assert abs(weights["good"]) > 3 * abs(weights["noise"])
+        assert {type(w) for w in weights.values()} == {float}
 
     def test_fused_score_beats_noise_column(self, stacking_problem):
         from repro.prediction.metrics import auc

@@ -9,6 +9,7 @@ and the scores must be equal, not close.
 """
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -106,13 +107,54 @@ class TestEquivalence:
         assert_same_fit(network, oracle)
 
 
+class TestPrediction:
+    """Scores from the parameter arrays cached at fit equal the oracle's.
+
+    ``design @ weights`` is a dot product for one row and a matrix-vector
+    product for many, and the two differ in the last bits on most rows,
+    the oracle's included.  So each shape is compared with its own: every
+    row alone against the oracle's row alone, the batch against its batch.
+    """
+
+    @pytest.fixture(scope="class")
+    def pairs(self, samples, rbfs):
+        x, y = samples
+        mixed = tuple(copy.deepcopy(fitted) for fitted in rbfs)
+        for fitted in mixed:
+            fitted.refine(x, y, max_opt_iter=8, optimize_mixtures=True)
+        return [rbfs, mixed]
+
+    def test_rows_alone_and_in_a_batch_match_the_oracle(self, samples, pairs):
+        x, _ = samples
+        rng = np.random.default_rng(11)
+        near = x[rng.choice(len(x), size=30)]
+        # Far rows saturate the sigmoid, where z is clipped at +-50.
+        far = near + rng.normal(size=near.shape) * x.std(axis=0) * 50.0
+        rows = np.vstack([near, far])
+        for network, oracle in pairs:
+            batch = network.predict(rows)
+            assert batch.tobytes() == oracle.predict(rows).tobytes()
+            for row in rows:
+                one = network.predict(row[None, :])
+                assert one.tobytes() == oracle.predict(row[None, :]).tobytes()
+
+    def test_a_model_pickles_the_same_before_and_after_scoring(self, samples, rbfs):
+        x, _ = samples
+        network = copy.deepcopy(rbfs[0])
+        before = pickle.dumps(network)
+        scores = network.predict(x)
+        assert pickle.dumps(network) == before
+        assert pickle.loads(before).predict(x).tobytes() == scores.tobytes()
+
+
 class TestEvaluationCounts:
     """Distances once per fit; one design per objective call."""
 
     @pytest.fixture()
     def calls(self, monkeypatch):
-        counts = {"radii": 0, "matrix": 0, "objective": []}
+        counts = {"radii": 0, "matrix": 0, "evaluate": 0, "objective": []}
         radii, matrix = network_module.kernel_radii, network_module.kernel_matrix
+        evaluate = network_module.evaluate_kernels
         minimize = network_module.scipy.optimize.minimize
 
         def count_radii(*args):
@@ -122,6 +164,10 @@ class TestEvaluationCounts:
         def count_matrix(*args):
             counts["matrix"] += 1
             return matrix(*args)
+
+        def count_evaluate(*args):
+            counts["evaluate"] += 1
+            return evaluate(*args)
 
         def spy_minimize(objective, *args, **kwargs):
             def counted(theta):
@@ -134,6 +180,7 @@ class TestEvaluationCounts:
 
         monkeypatch.setattr(network_module, "kernel_radii", count_radii)
         monkeypatch.setattr(network_module, "kernel_matrix", count_matrix)
+        monkeypatch.setattr(network_module, "evaluate_kernels", count_evaluate)
         monkeypatch.setattr(network_module.scipy.optimize, "minimize", spy_minimize)
         return counts
 
@@ -153,8 +200,9 @@ class TestEvaluationCounts:
         assert calls["matrix"] == len(calls["objective"]) + 1
 
     def test_predict_evaluates_once(self, calls, samples):
+        """Distances and kernels once, on the parameter arrays of the fit."""
         x, y = samples
         network = _rbf(UBFNetwork).fit(x, y)
-        calls.update(radii=0, matrix=0, objective=[])
+        calls.update(radii=0, matrix=0, evaluate=0, objective=[])
         network.predict(x)
-        assert (calls["radii"], calls["matrix"]) == (1, 1)
+        assert (calls["radii"], calls["evaluate"], calls["matrix"]) == (1, 1, 0)

@@ -96,6 +96,18 @@ class TestRegistry:
         with pytest.raises(ConfigurationError):
             registry.gauge("metric")
 
+    def test_resolved_lookups_keep_every_series_apart(self):
+        registry = MetricsRegistry()
+        both = registry.counter("hits", a="x", b="y")
+        assert registry.counter("hits", b="y", a="x") is both
+        # Equal as dict keys, distinct as label strings "1" and "True".
+        one, true = registry.counter("n", v=1), registry.counter("n", v=True)
+        assert one is not true and registry.counter("n", v=1) is one
+        assert registry.counter("odd", v=[1]) is registry.counter("odd", v=[1])
+        with pytest.raises(ConfigurationError):
+            registry.gauge("hits", a="x", b="y")
+        assert len(registry) == 4
+
     def test_families_group_by_name(self):
         registry = MetricsRegistry()
         registry.counter("hits", route="a").inc()

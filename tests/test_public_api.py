@@ -118,7 +118,6 @@ def test_exception_hierarchy():
         "SimulationError",
         "ModelError",
         "NotFittedError",
-        "ConvergenceError",
         "ConfigurationError",
         "ActionError",
     ]:
