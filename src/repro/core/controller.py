@@ -17,8 +17,9 @@ The MEA wiring is hardened by the :mod:`repro.resilience` layer:
 - gauge reads pass through a :class:`GaugeSanitizer` (NaN / stuck / stale
   detection with last-known-good substitution),
 - scoring goes through a :class:`FallbackPredictor` so a repeatedly
-  faulting primary fails over to a secondary model instead of silencing
-  the Evaluate step,
+  faulting primary (one that raises, returns a non-finite score or
+  declares a simulated latency beyond the lead time) fails over to a
+  secondary model instead of silencing the Evaluate step,
 - every action runs behind a per-action :class:`CircuitBreaker`, and an
   executed action that reports failure escalates the target along a
   cleanup -> failover -> restart :class:`EscalationChain`,
@@ -42,15 +43,26 @@ from repro.core.mea import EvaluationResult, MEACycle
 from repro.errors import ConfigurationError
 from repro.monitoring.logbook import error_window
 from repro.prediction.base import SymptomPredictor
-from repro.prediction.calibration import PlattScaling
 from repro.resilience.escalation import EscalationChain
 from repro.resilience.fallback import FallbackPredictor
-from repro.resilience.policies import CircuitBreaker, RetryPolicy, StepTimeout
+from repro.resilience.policies import CircuitBreaker, RetryPolicy
 from repro.resilience.sanitizer import GaugeSanitizer
 from repro.telecom.system import SCPSystem
 from repro.telemetry import events as tel_events
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
-from repro.telemetry.rolling import RollingQualityTracker
+from repro.telemetry.rolling import RollingQualityTracker, table1_outcome
+
+#: Simulated seconds between MEA cycles.
+EVAL_PERIOD = 30.0
+#: Cost of letting a predicted failure happen, in the Act objective's units.
+FAILURE_COST = 12.0
+#: Confidence of a fallback model's warning: its scores are not on the
+#: calibrated primary's scale.
+FALLBACK_CONFIDENCE = 0.7
+#: Simulated seconds an action's open circuit breaker waits before a probe.
+BREAKER_COOLDOWN = 600.0
+#: Simulated seconds a failed-over primary predictor waits before a probe.
+PREDICTOR_RETRY_COOLDOWN = 1_800.0
 
 
 def default_repertoire() -> list[Action]:
@@ -95,25 +107,14 @@ class PFMController:
     predictor: SymptomPredictor
     variables: list[str]
     lead_time: float = 300.0
-    eval_period: float = 30.0
     repertoire: list[Action] = field(default_factory=default_repertoire)
-    failure_cost: float = 12.0
     cooldown: float = 120.0
-    warnings: list[WarningEpisode] = field(default_factory=list)
-    evaluations: list[tuple[float, float, bool]] = field(default_factory=list)
     # --- resilience layer ---------------------------------------------
     fallback_predictor: SymptomPredictor | None = None
-    fallback_confidence: float = 0.7
     sanitizer: GaugeSanitizer | None = None
     escalation: EscalationChain | None = None
-    retry: RetryPolicy | None = field(default_factory=RetryPolicy)
-    step_timeouts: dict[str, float] = field(default_factory=dict)
-    evaluate_latency_budget: float | None = None
     breaker_failure_threshold: int = 3
-    breaker_cooldown: float = 600.0
     predictor_fault_threshold: int = 3
-    predictor_retry_cooldown: float = 1_800.0
-    action_outcomes: list[ActionOutcome] = field(default_factory=list)
     # --- criticality-aware arbitration --------------------------------
     #: Per-target service criticality in [0, 1]; unnamed targets get
     #: ``default_criticality``.  Scales the Act objective's expected
@@ -123,12 +124,18 @@ class PFMController:
     default_criticality: float = 1.0
     #: Event-window length fed to a fused panel's event members when the
     #: predictor (e.g. a Noisy-OR arbitrator) asks for a live error
-    #: window; matches DatasetConfig.data_window's default.
+    #: window; the runners pass the evaluation config's data_window, the
+    #: length the panel was trained on.
     data_window: float = 1_800.0
-    max_window_events: int = 200
     # --- telemetry ----------------------------------------------------
     telemetry: TelemetryHub = NULL_HUB
     rolling_window: int | None = 200
+    # --- run state ----------------------------------------------------
+    warnings: list[WarningEpisode] = field(default_factory=list, init=False)
+    evaluations: list[tuple[float, float, bool]] = field(
+        default_factory=list, init=False
+    )
+    action_outcomes: list[ActionOutcome] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if not self.variables:
@@ -144,7 +151,6 @@ class PFMController:
         self._last_action_time = -np.inf
         self._last_warning_time = -np.inf
         self._score_scale: tuple[float, float] | None = None
-        self._calibrator: PlattScaling | None = None
         if self.sanitizer is None:
             self.sanitizer = GaugeSanitizer()
         if self.escalation is None:
@@ -154,10 +160,6 @@ class PFMController:
         #: injectors attack (monitoring dropouts, corrupted observations).
         self.observation_taps: list = []
         self.breakers: dict[str, CircuitBreaker] = {}
-        # The evaluate latency budget defaults to the lead time: a score
-        # that arrives after the failure it predicts is worthless.
-        if self.evaluate_latency_budget is None:
-            self.evaluate_latency_budget = self.lead_time
         # Wire the hub through every instrumented collaborator; the
         # simulated clock comes from the engine so every event/span is
         # keyed by sim time (first binding wins if the caller pre-bound).
@@ -197,8 +199,10 @@ class PFMController:
             secondary=self.fallback_predictor,
             clock=lambda: self.system.engine.now,
             failure_threshold=self.predictor_fault_threshold,
-            cooldown=self.predictor_retry_cooldown,
-            latency_budget=self.evaluate_latency_budget,
+            cooldown=PREDICTOR_RETRY_COOLDOWN,
+            # A score that arrives after the failure it predicts is
+            # worthless: the Evaluate step's one latency guard.
+            latency_budget=self.lead_time,
             telemetry=self.telemetry,
         )
         self.mea = MEACycle(
@@ -206,13 +210,8 @@ class PFMController:
             monitor=self._monitor,
             evaluate=self._evaluate,
             act=self._act,
-            period=self.eval_period,
-            retry=self.retry,
-            timeouts={
-                step: StepTimeout(budget)
-                for step, budget in self.step_timeouts.items()
-            },
-            step_latency=self._step_latency,
+            period=EVAL_PERIOD,
+            retry=RetryPolicy(),
             telemetry=self.telemetry,
         )
 
@@ -226,7 +225,7 @@ class PFMController:
             breaker = CircuitBreaker(
                 name=action_name,
                 failure_threshold=self.breaker_failure_threshold,
-                cooldown=self.breaker_cooldown,
+                cooldown=BREAKER_COOLDOWN,
                 on_transition=self._breaker_transition,
             )
             self.breakers[action_name] = breaker
@@ -241,12 +240,6 @@ class PFMController:
         self.telemetry.counter(
             "breaker_transitions_total", breaker=name, to=new
         ).inc()
-
-    def _step_latency(self, step: str) -> float:
-        """Declared simulated latency of the upcoming step (for timeouts)."""
-        if step == "evaluate":
-            return float(getattr(self.predictor, "simulated_latency", 0.0) or 0.0)
-        return 0.0
 
     def _raw_read(self, variable: str):
         """The raw read of one variable: its gauge, then the taps.
@@ -275,44 +268,29 @@ class PFMController:
         event members were calibrated on.
         """
         window = error_window(
-            self.system.error_log,
-            self.system.engine.now,
-            self.data_window,
-            self.max_window_events,
+            self.system.error_log, self.system.engine.now, self.data_window
         )
         return [window] * n
 
-    def calibrate_confidence(
-        self,
-        training_scores: np.ndarray,
-        training_labels: np.ndarray | None = None,
-    ) -> None:
-        """Learn a score -> confidence mapping from training data.
+    def calibrate_confidence(self, training_scores: np.ndarray) -> None:
+        """Learn a score -> confidence mapping from training scores.
 
-        With labels, fits Platt scaling so confidence is a calibrated
-        failure probability; without labels, falls back to the score's
-        position between the threshold and the training maximum.
+        Confidence is the score's position between the threshold and the
+        training maximum.
         """
         scores = np.asarray(training_scores, dtype=float)
         if scores.size == 0:
             raise ConfigurationError(
                 "calibrate_confidence needs at least one training score"
             )
-        if training_labels is not None:
-            labels = np.asarray(training_labels, dtype=bool)
-            if labels.any() and not labels.all():
-                self._calibrator = PlattScaling().fit(scores, labels)
-                return
         self._score_scale = (self.predictor.threshold, float(scores.max()))
 
     def _confidence(self, score: float) -> float:
         # A fused arbitration score already IS a calibrated probability;
-        # re-mapping it through Platt/scale would double-calibrate.
+        # re-mapping it through the score scale would double-calibrate.
         source = self._arbitrator if self._arbitrator is not None else self.predictor
         if getattr(source, "scores_are_probabilities", False):
             return _clip_unit(score)
-        if self._calibrator is not None:
-            return self._calibrator(score)
         if self._score_scale is None:
             return 1.0 if score >= self.predictor.threshold else 0.0
         low, high = self._score_scale
@@ -341,7 +319,7 @@ class PFMController:
         elif result.source == "secondary":
             # Secondary scores live on a different scale than the
             # calibrated primary; use a fixed moderate confidence.
-            confidence = self.fallback_confidence
+            confidence = FALLBACK_CONFIDENCE
         else:
             confidence = 0.0
         now = self.system.engine.now
@@ -417,7 +395,7 @@ class PFMController:
         context = SelectionContext(
             confidence=evaluation.confidence,
             target=evaluation.target,
-            failure_cost=self.failure_cost,
+            failure_cost=FAILURE_COST,
             criticality=self.target_criticality.get(
                 evaluation.target, self.default_criticality
             ),
@@ -500,7 +478,7 @@ class PFMController:
 
         while self.mea.running:
             self.maybe_restore_load()
-            yield Timeout(self.eval_period * 4)
+            yield Timeout(EVAL_PERIOD * 4)
 
     # ------------------------------------------------------------------
     # Telemetry finalization
@@ -570,7 +548,8 @@ class PFMController:
         a warning fired and the truth is "a failure starts within
         ``[t, t + 2 * lead_time]``".
         """
-        failure_times = np.asarray(self.system.failure_log.failure_times())
+        failure_times = self.system.failure_log.failure_times()
+        horizon = 2 * self.lead_time
         acted_times = {
             round(episode.time, 6) for episode in self.warnings if episode.action
         }
@@ -578,21 +557,7 @@ class PFMController:
             key: {"count": 0, "acted": 0} for key in ("TP", "FP", "TN", "FN")
         }
         for time, _score, warning in self.evaluations:
-            imminent = bool(
-                failure_times.size
-                and np.any(
-                    (failure_times >= time)
-                    & (failure_times <= time + 2 * self.lead_time)
-                )
-            )
-            if warning and imminent:
-                key = "TP"
-            elif warning:
-                key = "FP"
-            elif imminent:
-                key = "FN"
-            else:
-                key = "TN"
+            key = table1_outcome(failure_times, time, warning, horizon)
             matrix[key]["count"] += 1
             if round(time, 6) in acted_times:
                 matrix[key]["acted"] += 1

@@ -337,6 +337,7 @@ def run_closed_loop(
         predictor=predictor,
         variables=variables,
         lead_time=eval_config.lead_time,
+        data_window=eval_config.data_window,
         telemetry=hub,
     )
     controller.calibrate_confidence(training_scores)

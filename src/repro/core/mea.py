@@ -9,16 +9,17 @@ and repeats them as a simulation process, recording every iteration.
 The cycle is hardened against its own steps: an exception in monitor,
 evaluate or act is caught into a structured :class:`StepFailure` record
 (optionally retried per a :class:`~repro.resilience.policies.RetryPolicy`)
-instead of killing the ``mea-cycle`` process, and a step that declares a
-simulated latency beyond its :class:`~repro.resilience.policies.StepTimeout`
-budget is skipped as a timeout.  A fully-failed iteration delays the next
-one by the policy's exponential backoff -- the cycle slows down under
-sustained trouble but never dies silently.
+instead of killing the ``mea-cycle`` process.  A fully-failed iteration
+delays the next one by the policy's exponential backoff -- the cycle
+slows down under sustained trouble but never dies silently.  A slow
+prediction is not the cycle's concern: the controller's
+:class:`~repro.resilience.fallback.FallbackPredictor` counts a primary
+slower than the lead time as a fault.
 
 The cycle is also self-observing: every iteration emits an ``mea.cycle``
-span with child spans per executed step (status ``error`` / ``timeout``
-on failure), plus ``mea.step_failure`` and ``resilience.retry`` events,
-through the :mod:`repro.telemetry` hub it was built with.  The default
+span with child spans per executed step (status ``error`` on failure),
+plus ``mea.step_failure`` and ``resilience.retry`` events, through the
+:mod:`repro.telemetry` hub it was built with.  The default
 :data:`~repro.telemetry.hub.NULL_HUB` keeps all of it no-op.
 """
 
@@ -29,14 +30,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError
-from repro.resilience.policies import RetryPolicy, StepTimeout
+from repro.resilience.policies import RetryPolicy
 from repro.simulator.engine import Engine
 from repro.simulator.events import Timeout
 from repro.telemetry import events as tel_events
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
-
-#: The three step names, in execution order.
-STEPS = ("monitor", "evaluate", "act")
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,7 @@ class StepFailure:
 
     time: float
     step: str  # "monitor" | "evaluate" | "act"
-    error_type: str  # exception class name, or "StepTimeout"
+    error_type: str  # exception class name
     message: str
     attempts: int = 1  # how many tries were made this iteration
 
@@ -96,17 +94,6 @@ class MEACycle:
         Optional retry policy: failed steps are retried immediately up to
         ``max_attempts`` within an iteration, and iterations that still
         fail push the next cycle out by the policy's backoff.
-    timeouts:
-        Optional per-step :class:`StepTimeout` budgets (keyed by step
-        name).  Enforced against :attr:`step_latency`.
-    step_latency:
-        Optional hook ``step_name -> simulated seconds`` declaring how
-        long the upcoming step would take in simulated time (e.g. a
-        predictor under injected latency).  Steps over budget are skipped
-        and recorded as timeouts; on-budget latency is added to the sleep
-        after the iteration so the simulated clock stays honest.
-    on_step_failure:
-        Optional callback invoked with every :class:`StepFailure`.
     telemetry:
         Telemetry hub receiving cycle/step spans and failure events
         (disabled :data:`~repro.telemetry.hub.NULL_HUB` by default).
@@ -117,23 +104,16 @@ class MEACycle:
     evaluate: Callable[[Any], EvaluationResult]
     act: Callable[[EvaluationResult], str | None]
     period: float = 30.0
-    history: list[MEARecord] = field(default_factory=list)
-    running: bool = False
     retry: RetryPolicy | None = None
-    timeouts: dict[str, StepTimeout] = field(default_factory=dict)
-    step_latency: Callable[[str], float] | None = None
-    on_step_failure: Callable[[StepFailure], None] | None = None
     telemetry: TelemetryHub = NULL_HUB
-    failures: list[StepFailure] = field(default_factory=list)
+    history: list[MEARecord] = field(default_factory=list, init=False)
+    running: bool = field(default=False, init=False)
+    failures: list[StepFailure] = field(default_factory=list, init=False)
     consecutive_failed_cycles: int = field(default=0, init=False)
-    _pending_latency: float = field(default=0.0, init=False)
 
     def __post_init__(self) -> None:
         if self.period <= 0:
             raise ConfigurationError("period must be positive")
-        unknown = set(self.timeouts) - set(STEPS)
-        if unknown:
-            raise ConfigurationError(f"timeouts for unknown steps: {sorted(unknown)}")
 
     def start(self) -> None:
         """Launch the repeating cycle (idempotent)."""
@@ -151,26 +131,17 @@ class MEACycle:
     # ------------------------------------------------------------------
 
     def note_failure(
-        self, step: str, error: BaseException | str, attempts: int = 1
+        self, step: str, error: BaseException, attempts: int = 1
     ) -> StepFailure:
         """Record a step failure observed by a collaborator (e.g. the
         controller catching an action exception it handled itself)."""
-        if isinstance(error, BaseException):
-            failure = StepFailure(
-                time=self.engine.now,
-                step=step,
-                error_type=type(error).__name__,
-                message=str(error),
-                attempts=attempts,
-            )
-        else:
-            failure = StepFailure(
-                time=self.engine.now,
-                step=step,
-                error_type="StepFailure",
-                message=str(error),
-                attempts=attempts,
-            )
+        failure = StepFailure(
+            time=self.engine.now,
+            step=step,
+            error_type=type(error).__name__,
+            message=str(error),
+            attempts=attempts,
+        )
         self.failures.append(failure)
         self.telemetry.emit(
             tel_events.MEA_STEP_FAILURE,
@@ -180,30 +151,15 @@ class MEACycle:
             attempts=failure.attempts,
         )
         self.telemetry.counter("mea_step_failures_total", step=failure.step).inc()
-        if self.on_step_failure is not None:
-            self.on_step_failure(failure)
         return failure
 
     def _run_step(self, step: str, fn: Callable, *args) -> tuple[Any, bool]:
-        """Run one step with timeout + retry guards.
+        """Run one step with the retry guard.
 
         Returns ``(result, ok)``; on failure the result is ``None`` and a
         :class:`StepFailure` has been recorded.
         """
         with self.telemetry.span("mea." + step) as span:
-            timeout = self.timeouts.get(step)
-            if timeout is not None and self.step_latency is not None:
-                latency = float(self.step_latency(step))
-                if timeout.exceeded(latency):
-                    span.status = "timeout"
-                    span.annotate(declared_latency=latency, budget=timeout.budget)
-                    self.note_failure(
-                        step,
-                        f"declared simulated latency {latency:.1f}s exceeds "
-                        f"budget {timeout.budget:.1f}s",
-                    )
-                    return None, False
-                self._pending_latency += max(latency, 0.0)
             attempts = self.retry.max_attempts if self.retry is not None else 1
             last_error: BaseException | None = None
             for attempt in range(1, attempts + 1):
@@ -282,9 +238,8 @@ class MEACycle:
 
     def _run(self):
         while self.running:
-            self._pending_latency = 0.0
             self.step()
-            delay = self.period + self._pending_latency
+            delay = self.period
             if self.retry is not None and self.consecutive_failed_cycles > 0:
                 delay += self.retry.backoff(self.consecutive_failed_cycles)
             yield Timeout(delay)

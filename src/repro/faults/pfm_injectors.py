@@ -62,7 +62,7 @@ class FlakyPredictorProxy:
     Transparent while no fault mode is set; under an active fault it
     raises :class:`PFMFaultError` or returns NaN scores with
     ``fail_probability`` per call, and may declare a nonzero
-    ``simulated_latency`` (consumed by step-timeout / fallback policies).
+    ``simulated_latency`` (consumed by the fallback's latency budget).
     Everything else delegates to the wrapped predictor.
     """
 

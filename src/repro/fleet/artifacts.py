@@ -43,8 +43,10 @@ from repro.atomicfile import write_atomic
 from repro.errors import ArtifactStoreWarning
 
 #: Schema tag inside every artifact payload so future layouts can be
-#: detected, not guessed (mirrors the ledger's LEDGER_VERSION).
-ARTIFACT_VERSION = 1
+#: detected, not guessed (mirrors the ledger's LEDGER_VERSION).  Bump it
+#: whenever a pickled predictor gains state its methods need: version 2
+#: added the UBF predictor's column index array.
+ARTIFACT_VERSION = 2
 
 
 def train_key_digest(key) -> str:

@@ -66,6 +66,9 @@ class UBFPredictor(SymptomPredictor):
         self.network = network or UBFNetwork(n_kernels=n_kernels, rng=rng)
         self.selection_: SelectionResult | None = None
         self.selected_indices_: list[int] | None = None
+        # The same columns as an index array: numpy converts a list on
+        # every indexing, and score_samples runs once per MEA cycle.
+        self._columns: np.ndarray | None = None
 
     def fit_samples(self, x: np.ndarray, y: np.ndarray) -> "UBFPredictor":
         """Train on monitoring features ``x`` and target availability ``y``.
@@ -84,7 +87,8 @@ class UBFPredictor(SymptomPredictor):
             self.selected_indices_ = self.selection_.selected
         else:
             self.selected_indices_ = list(range(x.shape[1]))
-        self.network.fit(x[:, self.selected_indices_], target)
+        self._columns = np.asarray(self.selected_indices_, dtype=np.intp)
+        self.network.fit(x[:, self._columns], target)
         self._fitted = True
         return self
 
@@ -92,9 +96,9 @@ class UBFPredictor(SymptomPredictor):
         """Failure-proneness = negated predicted availability nines."""
         self._require_fitted()
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if self.selected_indices_ is None:
+        if self._columns is None:
             raise ConfigurationError("predictor fitted without variable selection state")
-        predicted_nines = self.network.predict(x[:, self.selected_indices_])
+        predicted_nines = self.network.predict(x[:, self._columns])
         return -predicted_nines
 
     def predicted_availability(self, x: np.ndarray) -> np.ndarray:

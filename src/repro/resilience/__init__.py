@@ -1,9 +1,9 @@
 """Resilience layer: keeping the PFM stack itself dependable.
 
 The MEA cycle watches the system; this package watches the watcher.  It
-provides the policies (retry/backoff, per-step timeouts in simulated
-time, per-action circuit breakers), the input firewall
-(:class:`GaugeSanitizer`), predictor failover
+provides the policies (retry/backoff in simulated time, per-action
+circuit breakers), the input firewall (:class:`GaugeSanitizer`),
+predictor failover with the lead-time latency budget
 (:class:`FallbackPredictor`), countermeasure escalation
 (:class:`EscalationChain`), and the fault-injection campaign that attacks
 the PFM stack to demonstrate graceful degradation
@@ -16,19 +16,13 @@ exports stay import-cycle free.
 
 from repro.resilience.escalation import EscalationChain, default_chain
 from repro.resilience.fallback import FallbackPredictor, ScoreResult
-from repro.resilience.policies import (
-    BreakerState,
-    CircuitBreaker,
-    RetryPolicy,
-    StepTimeout,
-)
+from repro.resilience.policies import BreakerState, CircuitBreaker, RetryPolicy
 from repro.resilience.sanitizer import GaugeSanitizer, SanitizedReading
 
 __all__ = [
     "BreakerState",
     "CircuitBreaker",
     "RetryPolicy",
-    "StepTimeout",
     "GaugeSanitizer",
     "SanitizedReading",
     "FallbackPredictor",

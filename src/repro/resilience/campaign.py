@@ -496,6 +496,7 @@ def _run_scenario(spec: RunSpec, trained: tuple) -> RunResult:
         fallback_predictor=secondary,
         variables=variables,
         lead_time=eval_config.lead_time,
+        data_window=eval_config.data_window,
         repertoire=list(action_proxies),
         sanitizer=_campaign_sanitizer(),
         telemetry=hub,

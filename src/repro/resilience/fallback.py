@@ -6,7 +6,11 @@ is that a controller whose only predictor raises exceptions degrades to
 "no PFM".  :class:`FallbackPredictor` pairs the trained primary with a
 cheaper secondary (typically a :mod:`repro.prediction.baselines` model)
 behind a circuit breaker: repeated primary faults switch scoring to the
-secondary, and after a cooldown the primary is probed again.
+secondary, and after a cooldown the primary is probed again.  A primary
+that declares a simulated latency beyond ``latency_budget`` (the
+controller passes its lead time) is a fault too: this is the Evaluate
+step's one latency guard, since a prediction that arrives after the
+failure it predicts is worthless.
 
 Each predictor keeps its *own* threshold -- scores from different model
 families are not on a common scale, so the warning decision is always
@@ -33,7 +37,10 @@ class ScoreResult:
     score: float
     warning: bool
     source: str  # "primary" | "secondary" | "none"
-    degraded: bool  # True when the primary could not be used
+
+
+#: The inert result when neither model produced a usable score.
+_NO_SCORE = ScoreResult(score=float("nan"), warning=False, source="none")
 
 
 class FallbackPredictor:
@@ -140,33 +147,25 @@ class FallbackPredictor:
             score=score,
             warning=score >= self.primary.threshold,
             source="primary",
-            degraded=False,
         )
 
     def _secondary_score(self, observation: np.ndarray) -> ScoreResult:
         if self.secondary is None:
             self.null_scores += 1
-            return ScoreResult(
-                score=float("nan"), warning=False, source="none", degraded=True
-            )
+            return _NO_SCORE
         try:
             score = float(self.secondary.score_samples(observation[None, :])[0])
         except Exception:
             self.null_scores += 1
-            return ScoreResult(
-                score=float("nan"), warning=False, source="none", degraded=True
-            )
+            return _NO_SCORE
         if not math.isfinite(score):
             self.null_scores += 1
-            return ScoreResult(
-                score=float("nan"), warning=False, source="none", degraded=True
-            )
+            return _NO_SCORE
         self.secondary_scores += 1
         return ScoreResult(
             score=score,
             warning=score >= self.secondary.threshold,
             source="secondary",
-            degraded=True,
         )
 
     # ------------------------------------------------------------------

@@ -2,23 +2,19 @@
 
 The paper argues the Monitor-Evaluate-Act cycle keeps the *managed* system
 dependable; this module supplies the mechanisms that keep the *cycle*
-dependable.  Three classical patterns, all expressed in simulated time:
+dependable.  Two classical patterns, both expressed in simulated time:
 
 - :class:`RetryPolicy` -- bounded retries with exponential backoff.  A
   failed step is retried immediately up to ``max_attempts``; if the whole
   iteration still fails, the next cycle is delayed by an exponentially
   growing backoff instead of the nominal period (trading monitoring
   frequency for stability, never dying).
-- :class:`StepTimeout` -- a per-step budget in simulated seconds.  Steps
-  whose declared simulated latency exceeds the budget are skipped and
-  surfaced as timeouts rather than stalling the cycle (Aupy et al.'s
-  lesson: a prediction that arrives after the lead time is worthless).
 - :class:`CircuitBreaker` -- per-action breaker that opens after repeated
   failures, rejects execution while open, and half-opens after a cooldown
   to probe whether the action recovered.
 
-None of these import anything above the substrate layer, so the core can
-use them without creating an import cycle.
+Neither imports anything above the substrate layer, so the core can use
+them without creating an import cycle.
 """
 
 from __future__ import annotations
@@ -59,21 +55,6 @@ class RetryPolicy:
             return 0.0
         delay = self.backoff_base * self.backoff_factor ** (consecutive_failures - 1)
         return min(delay, self.backoff_max)
-
-
-@dataclass(frozen=True)
-class StepTimeout:
-    """A per-step execution budget in simulated seconds."""
-
-    budget: float
-
-    def __post_init__(self) -> None:
-        if self.budget <= 0:
-            raise ConfigurationError("timeout budget must be positive")
-
-    def exceeded(self, simulated_latency: float) -> bool:
-        """Whether a step declaring this latency should be timed out."""
-        return simulated_latency > self.budget
 
 
 class BreakerState(enum.Enum):

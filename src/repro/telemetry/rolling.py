@@ -8,8 +8,8 @@ controller's evaluation stream into rolling contingency counts:
 - every evaluation is recorded as a pending prediction ``(t, warning)``,
 - once the simulated clock passes ``t + horizon`` the ground truth for
   that prediction is fully known (a failure did or did not start within
-  ``[t, t + horizon]`` -- the controller's Table 1 semantics), so it is
-  resolved into TP / FP / TN / FN,
+  ``[t, t + horizon]`` -- the controller's Table 1 semantics), so
+  :func:`table1_outcome` resolves it into TP / FP / TN / FN,
 - resolved outcomes enter a bounded rolling window; precision, recall
   and false-positive rate over the window are pushed to gauges
   (``pfm_online_precision`` / ``_recall`` / ``_fpr``) on every resolve.
@@ -29,6 +29,24 @@ from repro.errors import ConfigurationError
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
 
 _OUTCOMES = ("TP", "FP", "TN", "FN")
+
+
+def table1_outcome(
+    failure_times: Sequence[float], time: float, warning: bool, horizon: float
+) -> str:
+    """Classify the prediction made at ``time`` as TP / FP / TN / FN.
+
+    The truth (paper Table 1) is "a failure starts within
+    ``[time, time + horizon]``"; ``failure_times`` must be sorted
+    ascending (the failure log keeps it that way).  The controller's
+    post-hoc ``outcome_matrix()`` and the tracker's online resolution
+    both classify with this one function.
+    """
+    idx = bisect.bisect_left(failure_times, time)
+    imminent = idx < len(failure_times) and failure_times[idx] <= time + horizon
+    if warning:
+        return "TP" if imminent else "FP"
+    return "FN" if imminent else "TN"
 
 
 class RollingQualityTracker:
@@ -102,14 +120,7 @@ class RollingQualityTracker:
     def _settle(
         self, time: float, warning: bool, failure_times: Sequence[float]
     ) -> None:
-        idx = bisect.bisect_left(failure_times, time)
-        imminent = (
-            idx < len(failure_times) and failure_times[idx] <= time + self.horizon
-        )
-        if warning:
-            outcome = "TP" if imminent else "FP"
-        else:
-            outcome = "FN" if imminent else "TN"
+        outcome = table1_outcome(failure_times, time, warning, self.horizon)
         self._outcomes.append(outcome)
         self.counts[outcome] += 1
         self.total_resolved += 1

@@ -4,7 +4,7 @@ A span brackets one unit of work -- an MEA cycle, one monitor step, a
 batched HSMM scoring call -- and records it against *two* clocks at once:
 
 - **simulated time** (the DES engine's clock): how long the step took in
-  the modeled world (declared latencies, backoff delays), and
+  the modeled world (zero for a synchronous MEA step), and
 - **wall-clock time** (``time.perf_counter``): how long the Python
   actually ran, which is what profiling the hot paths cares about.
 
@@ -23,7 +23,6 @@ from typing import Any
 #: Span completion statuses.
 OK = "ok"
 ERROR = "error"
-TIMEOUT = "timeout"
 
 
 @dataclass

@@ -29,7 +29,6 @@ def scp_and_controller():
         system=system,
         predictor=ThresholdPredictor(),
         variables=["swap_activity", "cpu_utilization"],
-        eval_period=30.0,
         cooldown=60.0,
     )
     return system, controller
@@ -125,17 +124,6 @@ class TestControllerBehaviour:
         system.containers[2].corrupt_state(1.5)
         assert controller._suspect() == "container-2"
 
-    def test_platt_calibrated_confidence(self, scp_and_controller):
-        _, controller = scp_and_controller
-        rng = np.random.default_rng(0)
-        scores = rng.normal(0.0, 1.0, 500)
-        labels = scores + 0.5 * rng.standard_normal(500) > 1.0
-        controller.calibrate_confidence(scores, labels)
-        # Calibrated probability is monotone and spans (0, 1).
-        low = controller._confidence(-3.0)
-        high = controller._confidence(3.0)
-        assert low < 0.2 and high > 0.8
-
 
 class TestWarningEpisodeAccounting:
     def test_cooldown_still_records_episodes(self, scp_and_controller):
@@ -165,8 +153,6 @@ class TestWarningEpisodeAccounting:
         _, controller = scp_and_controller
         with pytest.raises(ConfigurationError):
             controller.calibrate_confidence(np.array([]))
-        with pytest.raises(ConfigurationError):
-            controller.calibrate_confidence(np.array([]), np.array([]))
 
 
 class FaultyPredictor(ThresholdPredictor):
@@ -231,15 +217,14 @@ class TestResilienceWiring:
             predictor=predictor,
             fallback_predictor=SecondaryPredictor(),
             variables=["swap_activity", "cpu_utilization"],
-            fallback_confidence=0.6,
             predictor_fault_threshold=1,
         )
         predictor.fail = True
         evaluation = controller._evaluate(np.array([0.7, 0.0]))
         # Secondary: score 10.7 >= its threshold 10.0 -> warning, with the
-        # configured degraded-mode confidence.
+        # fixed degraded-mode confidence.
         assert evaluation.warning
-        assert evaluation.confidence == 0.6
+        assert evaluation.confidence == 0.7
         assert controller.scoring.using_fallback
         assert controller.resilience_summary()["fallback_scores"] == 1
 

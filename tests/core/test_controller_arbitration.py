@@ -54,7 +54,6 @@ def _controller(predictor, **kwargs):
         system=_system(),
         predictor=predictor,
         variables=["swap_activity", "cpu_utilization"],
-        eval_period=30.0,
         cooldown=60.0,
         **kwargs,
     )

@@ -124,6 +124,59 @@ class TestOneSpecOneAnswer:
         assert shard.outcome_matrix == direct.outcome_matrix
 
 
+#: Trains on 900-s error windows; the controller's default is 1 800 s.
+SHORT_WINDOWS = {"dataset": {"data_window": 900.0}}
+
+
+def _closed_loop_run():
+    run_closed_loop(
+        RunSpec(
+            seed=11,
+            eval_seed=21,
+            horizon=43_200.0,
+            predictor="noisy-or",
+            predictor_params={"members": ["ubf", "rate"]},
+            options=SHORT_WINDOWS,
+        )
+    )
+
+
+def _campaign_shard_run():
+    from repro.resilience.campaign import HEALTHY_PFM, run_scenario_spec
+
+    run_scenario_spec(
+        RunSpec(
+            scenario=HEALTHY_PFM,
+            seed=11,
+            eval_seed=21,
+            horizon=43_200.0,
+            # A campaign shard takes its panel from the options.
+            options={
+                **SHORT_WINDOWS,
+                "predictor": {"name": "noisy-or", "members": ["ubf", "rate"]},
+            },
+        )
+    )
+
+
+@pytest.mark.parametrize("run", [_closed_loop_run, _campaign_shard_run])
+def test_live_error_windows_match_the_trained_length(run, monkeypatch):
+    """A panel's event members score live error windows of the length
+    they were trained on, not the controller's default."""
+    import repro.core.controller as controller_module
+
+    original = controller_module.error_window
+    lengths = set()
+
+    def spy(log, end, length, *args, **kwargs):
+        lengths.add(length)
+        return original(log, end, length, *args, **kwargs)
+
+    monkeypatch.setattr(controller_module, "error_window", spy)
+    run()
+    assert lengths == {900.0}
+
+
 class TestRepairMeasurement:
     @pytest.fixture(scope="class")
     def ttr(self):

@@ -99,7 +99,7 @@ class Flaky:
 
 
 class TestStepFailures:
-    def make_resilient(self, engine, monitor, retry=None, **kwargs):
+    def make_resilient(self, engine, monitor, retry=None):
         from repro.core import MEACycle
 
         return MEACycle(
@@ -109,7 +109,6 @@ class TestStepFailures:
             act=lambda ev: None,
             period=10.0,
             retry=retry,
-            **kwargs,
         )
 
     def test_monitor_exception_recorded_not_fatal(self):
@@ -202,72 +201,3 @@ class TestStepFailures:
         # Delays: 10+40, 10+80, 10+160 ... instead of 10, 10, 10.
         times = [r.time for r in cycle.history]
         assert times == [0.0, 50.0, 140.0]
-
-    def test_on_step_failure_callback(self):
-        engine = Engine()
-        seen = []
-        cycle = self.make_resilient(
-            engine,
-            Flaky(lambda: 1.0, failures=10**9),
-            on_step_failure=seen.append,
-        )
-        cycle.step()
-        assert len(seen) == 1
-        assert seen[0].step == "monitor"
-
-    def test_note_failure_accepts_strings(self):
-        engine = Engine()
-        cycle = self.make_resilient(engine, lambda: 1.0)
-        cycle.note_failure("act", "outcome reported failure")
-        assert cycle.failures_by_step() == {"act": 1}
-
-
-class TestStepTimeouts:
-    def test_over_budget_step_skipped(self):
-        from repro.resilience import StepTimeout
-
-        engine = Engine()
-        cycle = MEACycle(
-            engine=engine,
-            monitor=lambda: 1.0,
-            evaluate=lambda obs: EvaluationResult(score=1.0, warning=True),
-            act=lambda ev: "acted",
-            period=10.0,
-            timeouts={"evaluate": StepTimeout(budget=100.0)},
-            step_latency=lambda step: 500.0 if step == "evaluate" else 0.0,
-        )
-        record = cycle.step()
-        assert record.failed_steps == ("evaluate",)
-        failure = cycle.failures[0]
-        assert failure.error_type == "StepFailure"
-        assert "exceeds budget" in failure.message
-
-    def test_on_budget_latency_delays_next_cycle(self):
-        from repro.resilience import StepTimeout
-
-        engine = Engine()
-        cycle = MEACycle(
-            engine=engine,
-            monitor=lambda: 1.0,
-            evaluate=lambda obs: EvaluationResult(score=0.0, warning=False),
-            act=lambda ev: None,
-            period=10.0,
-            timeouts={"evaluate": StepTimeout(budget=100.0)},
-            step_latency=lambda step: 15.0 if step == "evaluate" else 0.0,
-        )
-        cycle.start()
-        engine.run(until=60.0)
-        times = [r.time for r in cycle.history]
-        assert times == [0.0, 25.0, 50.0]  # period 10 + latency 15
-
-    def test_unknown_timeout_step_rejected(self):
-        from repro.resilience import StepTimeout
-
-        with pytest.raises(ConfigurationError):
-            MEACycle(
-                engine=Engine(),
-                monitor=lambda: 1.0,
-                evaluate=lambda obs: EvaluationResult(score=0.0, warning=False),
-                act=lambda ev: None,
-                timeouts={"transmogrify": StepTimeout(budget=1.0)},
-            )

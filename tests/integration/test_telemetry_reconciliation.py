@@ -43,7 +43,6 @@ def instrumented_run():
         predictor=predictor,
         variables=["swap_activity", "cpu_utilization"],
         lead_time=300.0,
-        eval_period=30.0,
         cooldown=120.0,
         telemetry=hub,
         rolling_window=None,  # unbounded: counts must equal the matrix

@@ -92,13 +92,23 @@ class TestGracefulDegradation:
         events = dropout.resilience["sanitizer_events"]
         assert sum(per_var.get("nan", 0) for per_var in events.values()) > 0
 
-    def test_predictor_attacks_fail_over_to_secondary(self, report):
-        exceptions = next(
-            r for r in report.attacked if r.spec.scenario == "predictor-exceptions"
-        )
-        assert exceptions.resilience["predictor_faults"] > 0
-        assert exceptions.resilience["fallback_scores"] > 0
-        assert exceptions.resilience["null_scores"] == 0
+    @pytest.mark.parametrize(
+        "scenario", ["predictor-exceptions", "predictor-latency"]
+    )
+    def test_predictor_attacks_fail_over_to_secondary(self, report, scenario):
+        # Raising and slow primaries alike are predictor faults of the
+        # FallbackPredictor (the latency one past its lead-time budget),
+        # and the secondary scores in their place.
+        attacked = next(r for r in report.attacked if r.spec.scenario == scenario)
+        assert attacked.resilience["predictor_faults"] > 0
+        assert attacked.resilience["fallback_scores"] > 0
+        assert attacked.resilience["null_scores"] == 0
+
+    def test_every_attack_is_absorbed_by_its_own_guard(self, report):
+        # The sanitizer, the predictor fallback and the breakers absorb
+        # every attack before it reaches the MEA cycle's step containment.
+        for result in [report.healthy, *report.attacked]:
+            assert result.resilience["step_failures"] == {}, result.spec.scenario
 
     def test_failing_actions_open_breakers(self, report):
         failures = next(

@@ -61,7 +61,6 @@ class TestHealthyPrimary:
         assert result.source == "primary"
         assert result.score == pytest.approx(0.7)
         assert result.warning
-        assert not result.degraded
 
     def test_below_threshold_no_warning(self, clock):
         _, _, scoring = make_pair(clock)
@@ -75,7 +74,6 @@ class TestFailover:
         for _ in range(2):
             result = scoring.score(np.array([0.7, 0.0]))
             assert result.source == "secondary"
-            assert result.degraded
         assert scoring.using_fallback
         assert scoring.primary_faults == 2
         # With the breaker open the primary is not even called.

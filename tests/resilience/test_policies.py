@@ -1,7 +1,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.resilience import BreakerState, CircuitBreaker, RetryPolicy, StepTimeout
+from repro.resilience import BreakerState, CircuitBreaker, RetryPolicy
 
 
 class TestRetryPolicy:
@@ -27,17 +27,6 @@ class TestRetryPolicy:
             RetryPolicy(backoff_base=-1.0)
         with pytest.raises(ConfigurationError):
             RetryPolicy(backoff_factor=0.5)
-
-
-class TestStepTimeout:
-    def test_exceeded(self):
-        timeout = StepTimeout(budget=100.0)
-        assert not timeout.exceeded(100.0)
-        assert timeout.exceeded(100.1)
-
-    def test_rejects_nonpositive_budget(self):
-        with pytest.raises(ConfigurationError):
-            StepTimeout(budget=0.0)
 
 
 class TestCircuitBreaker:

@@ -32,9 +32,9 @@ class TestBadReads:
         assert reading.reason == "exception"
 
     def test_default_before_first_good_value(self):
-        sanitizer = GaugeSanitizer(default=7.0)
+        sanitizer = GaugeSanitizer()
         reading = sanitizer.read("v", lambda: float("nan"))
-        assert reading.value == 7.0
+        assert reading.value == 0.0
 
     def test_events_counted_per_variable_and_reason(self):
         sanitizer = GaugeSanitizer()
@@ -101,21 +101,6 @@ class TestPlausibilityChecks:
         # Other variables are unconstrained.
         assert sanitizer.read("other", lambda: 7.5).ok
 
-    def test_spike_factor(self):
-        sanitizer = GaugeSanitizer(spike_factor=5.0)
-        sanitizer.read("v", lambda: 100.0)
-        reading = sanitizer.read("v", lambda: 900.0)
-        assert reading.reason == "spike"
-        assert reading.value == 100.0
-        # Within the factor passes.
-        assert sanitizer.read("v", lambda: 400.0).ok
-
-    def test_spike_floor_protects_small_gauges(self):
-        sanitizer = GaugeSanitizer(spike_factor=5.0, spike_floor=1.0)
-        sanitizer.read("v", lambda: 0.01)
-        # 5 * max(0.01, 1.0) = 5.0: a ramp to 3 is plausible activity.
-        assert sanitizer.read("v", lambda: 3.0).ok
-
 
 class TestValidation:
     def test_rejects_bad_parameters(self):
@@ -123,7 +108,3 @@ class TestValidation:
             GaugeSanitizer(stale_after=0)
         with pytest.raises(ConfigurationError):
             GaugeSanitizer(stuck_after=1)
-        with pytest.raises(ConfigurationError):
-            GaugeSanitizer(spike_factor=1.0)
-        with pytest.raises(ConfigurationError):
-            GaugeSanitizer(spike_floor=0.0)

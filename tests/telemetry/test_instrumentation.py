@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.mea import MEACycle
 from repro.resilience.fallback import FallbackPredictor
-from repro.resilience.policies import CircuitBreaker, RetryPolicy, StepTimeout
+from repro.resilience.policies import CircuitBreaker, RetryPolicy
 from repro.resilience.sanitizer import GaugeSanitizer
 from repro.simulator import Engine
 from repro.telemetry import TelemetryHub
@@ -93,21 +93,6 @@ class TestMEASpans:
         assert (
             hub.registry.gauge("mea_consecutive_failed_cycles").value == 1.0
         )
-
-    def test_over_budget_step_closes_span_as_timeout(self):
-        engine, hub = Engine(), TelemetryHub()
-        hub.bind_clock(lambda: engine.now)
-        cycle = _cycle(
-            engine,
-            hub,
-            timeouts={"evaluate": StepTimeout(5.0)},
-            step_latency=lambda step: 60.0 if step == "evaluate" else 0.0,
-        )
-        cycle.step()
-        span = hub.spans_named("mea.evaluate")[0]
-        assert span.status == "timeout"
-        assert span.attributes["declared_latency"] == 60.0
-        assert span.attributes["budget"] == 5.0
 
 
 class TestBreakerTransitions:

@@ -1,9 +1,13 @@
 """Rolling online quality: delayed resolution, windowing, gauge mirror."""
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.telemetry import RollingQualityTracker, TelemetryHub
+from repro.telemetry.rolling import table1_outcome
 
 
 class TestResolution:
@@ -101,3 +105,29 @@ class TestValidation:
             RollingQualityTracker(horizon=0.0)
         with pytest.raises(ConfigurationError):
             RollingQualityTracker(horizon=1.0, window=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    failures=st.lists(st.floats(0.0, 1_000.0), max_size=8).map(sorted),
+    time=st.floats(0.0, 1_000.0),
+    warning=st.booleans(),
+    horizon=st.floats(0.5, 600.0),
+)
+@example(failures=[100.0], time=100.0, warning=True, horizon=10.0)
+@example(failures=[110.0], time=100.0, warning=False, horizon=10.0)
+@example(failures=[99.0, 111.0], time=100.0, warning=True, horizon=10.0)
+def test_table1_outcome_matches_the_mask_definition(
+    failures, time, warning, horizon
+):
+    """The bisect decision equals the numpy mask the controller's
+    ``outcome_matrix()`` used before both shared one function."""
+    times = np.asarray(failures)
+    imminent = bool(
+        times.size and np.any((times >= time) & (times <= time + horizon))
+    )
+    if warning:
+        expected = "TP" if imminent else "FP"
+    else:
+        expected = "FN" if imminent else "TN"
+    assert table1_outcome(failures, time, warning, horizon) == expected
