@@ -44,9 +44,10 @@ from repro.errors import ArtifactStoreWarning
 
 #: Schema tag inside every artifact payload so future layouts can be
 #: detected, not guessed (mirrors the ledger's LEDGER_VERSION).  Bump it
-#: whenever a pickled predictor gains state its methods need: version 2
-#: added the UBF predictor's column index array.
-ARTIFACT_VERSION = 2
+#: whenever a pickled predictor gains state its methods need, or training
+#: fits different numbers: version 2 added the UBF predictor's column
+#: index array, version 3 the UBF's exact-gradient optimizer.
+ARTIFACT_VERSION = 3
 
 
 def train_key_digest(key) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from repro.errors import ModelError
 from repro.markov.dtmc import DTMC
@@ -122,6 +121,8 @@ class CTMC:
             raise ModelError("initial distribution has wrong length")
         if t < 0:
             raise ModelError("time must be non-negative")
+        import scipy.linalg  # here, not at the top: runs never reach expm
+
         return dist @ scipy.linalg.expm(self._generator * t)
 
     def uniformized_dtmc(self, rate: float | None = None) -> tuple[DTMC, float]:
@@ -205,6 +206,8 @@ class CTMC:
         if n_steps % 2 == 1:
             n_steps += 1  # Simpson needs an even interval count
         ts = np.linspace(0.0, horizon, n_steps + 1)
+        import scipy.linalg  # here, not at the top: runs never reach expm
+
         step = scipy.linalg.expm(self._generator * (horizon / n_steps))
         mass = np.empty(ts.size)
         current = dist.copy()

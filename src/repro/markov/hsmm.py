@@ -56,7 +56,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from repro.errors import ModelError, NotFittedError
 from repro.markov.distributions import DiscreteDuration, EmpiricalDuration
@@ -105,13 +104,40 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
+def _logsumexp(a: np.ndarray, axis: int | None = None):
+    """``scipy.special.logsumexp(a, axis=axis)`` for a non-empty float64 array.
+
+    The same operations as scipy 1.17's real-valued path, so the values,
+    shapes and scalar type are scipy's: the maxima are taken out of the
+    sum and counted, the rest is shifted by them, and wherever that result
+    is not finite (all ``-inf``, an ``inf`` or a ``nan``) the direct
+    ``log(sum(exp(a)))`` stands instead.  A 0-d result is a scalar.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.log(np.sum(np.exp(a), axis=axes, keepdims=True))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        top = np.max(a, axis=axes, keepdims=True)
+        is_top = a == top
+        count = np.sum(is_top.astype(float), axis=axes, keepdims=True)
+        rest = np.sum(
+            np.exp(np.where(is_top, -np.inf, a) - top), axis=axes, keepdims=True
+        )
+        rest = np.where(rest == 0, rest, rest / count)
+        out = np.log1p(rest) + np.log(count) + top
+    out = np.squeeze(np.where(np.isfinite(out), out, direct), axis=axes)
+    return out[()] if out.ndim == 0 else out
+
+
 def _lse(a: np.ndarray) -> np.ndarray:
     """Log-sum-exp over axis 0, adding the rows strictly in order.
 
-    ``scipy.special.logsumexp``'s array-API dispatch costs more than the
-    arithmetic on the small per-slot arrays this module reduces, so the
-    kernels use this minimal max-shifted form (the loop oracle keeps
-    scipy's, which computes the same value).  ``np.add.accumulate`` is an
+    :func:`_logsumexp`'s separate handling of the maximum and of
+    non-finite results costs more than the arithmetic on the small
+    per-slot arrays this module reduces, so the kernels use this minimal
+    max-shifted form (the loop oracle keeps ``scipy.special.logsumexp``,
+    which computes the same value).  ``np.add.accumulate`` is an
     in-order scan whatever the array's shape, whereas ``np.sum`` switches
     to pairwise summation when the reduced axis is the contiguous one (e.g.
     a lone single-state sequence); the scan keeps a batched column
@@ -287,7 +313,7 @@ def _forward_batch(batch: _RaggedBatch, params: LogParams) -> np.ndarray:
         if n_next:
             _push(entry, t + 1, _lse(alpha[:n_next].T[:, :, None] + log_a))
     out = np.empty(len(last))
-    out[batch.order] = logsumexp(last, axis=1)
+    out[batch.order] = _logsumexp(last, axis=1)
     return out
 
 
@@ -672,7 +698,7 @@ class HiddenSemiMarkovModel:
             obs, log_pi, log_a, log_d, cum, self.max_duration
         )
         beta, eta = _backward_pass(obs, log_a, log_d, cum, self.max_duration)
-        log_likelihood = float(logsumexp(alpha[-1]))
+        log_likelihood = float(_logsumexp(alpha[-1]))
         cum0 = np.vstack([np.zeros((1, n_states)), cum])
         log_d_t = log_d.T
         pos_diff = np.zeros((n + 1, n_states))

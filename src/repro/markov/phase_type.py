@@ -22,7 +22,6 @@ from typing import Sequence
 import math
 
 import numpy as np
-import scipy.linalg
 
 from repro.errors import ModelError
 from repro.markov.ctmc import CTMC
@@ -111,6 +110,8 @@ class PhaseTypeDistribution:
         return self._exit.copy()
 
     def _expm_alpha(self, t: float) -> np.ndarray:
+        import scipy.linalg  # here, not at the top: runs never reach expm
+
         return self._alpha @ scipy.linalg.expm(self._t * t)
 
     def cdf(self, t: float) -> float:

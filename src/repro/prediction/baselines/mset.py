@@ -14,10 +14,10 @@ magnitude, adequate for ROC evaluation).
 from __future__ import annotations
 
 import numpy as np
-import scipy.cluster.vq
 
 from repro.errors import ConfigurationError
 from repro.prediction.base import PredictorInfo, SymptomPredictor
+from repro.prediction.kmeans import kmeans2
 from repro.rng import ensure_rng
 
 
@@ -68,9 +68,7 @@ class MSETPredictor(SymptomPredictor):
         standardized = (pool - self._mean) / self._std
         seed = int(self.rng.integers(0, 2**31 - 1))
         k = min(self.n_exemplars, standardized.shape[0])
-        self.memory_, _ = scipy.cluster.vq.kmeans2(
-            standardized, k, minit="++", seed=seed
-        )
+        self.memory_, _ = kmeans2(standardized, k, seed)
         self._fitted = True
         return self
 

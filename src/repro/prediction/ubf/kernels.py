@@ -120,10 +120,45 @@ def evaluate_kernels(radii: np.ndarray, parameters: tuple) -> np.ndarray:
     The row-wise functional form matches :class:`UBFKernel`.
     """
     gw, sw, b, m, one_minus_m = parameters
+    gaussian, _, sigmoid = _base_kernels(radii, gw, sw, b)
+    return m * gaussian + one_minus_m * sigmoid
+
+
+def _base_kernels(
+    radii: np.ndarray, gw: np.ndarray, sw: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gaussian, the clipped sigmoid argument ``z`` and the sigmoid."""
     gaussian = np.exp(-0.5 * (radii / gw) ** 2)
     z = np.clip((radii - b) / sw, -50.0, 50.0)
-    sigmoid = 1.0 / (1.0 + np.exp(z))
-    return m * gaussian + one_minus_m * sigmoid
+    return gaussian, z, 1.0 / (1.0 + np.exp(z))
+
+
+def kernel_gradients(
+    radii: np.ndarray,
+    gaussian_widths: np.ndarray,
+    sigmoid_widths: np.ndarray,
+    sigmoid_offsets: np.ndarray,
+    mixtures: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """``dK[n, i] / d theta_i`` for the parameters of :func:`kernel_matrix`.
+
+    One array per parameter, in its argument order: Gaussian width,
+    sigmoid width, sigmoid offset, mixture weight.  Each is elementwise on
+    the radii.  The sigmoid's two are zero where its argument is clipped
+    at +-50; the width floor and the mixture clip are taken as inactive,
+    as they are inside the trainer's bounds.
+    """
+    gw, sw, b, m, one_minus_m = kernel_parameters(
+        gaussian_widths, sigmoid_widths, sigmoid_offsets, mixtures
+    )
+    gaussian, z, sigmoid = _base_kernels(radii, gw, sw, b)
+    slope = np.where(np.abs(z) < 50.0, one_minus_m * sigmoid * (1.0 - sigmoid), 0.0)
+    return (
+        m * gaussian * radii**2 / gw**3,
+        slope * (radii - b) / sw**2,
+        slope / sw,
+        gaussian - sigmoid,
+    )
 
 
 def kernel_matrix(

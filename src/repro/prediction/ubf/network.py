@@ -10,10 +10,11 @@ Training:
 
 1. standardize inputs,
 2. place kernel centers by k-means over the training inputs,
-3. alternate: (a) ridge-solve the output weights given kernel parameters,
-   (b) refine kernel parameters (widths, sigmoid offsets, mixtures) by
-   L-BFGS-B on the regularized squared error ("by including m_i in the
-   optimization, UBF can better adapt to specifics of the data").
+3. refine the kernel parameters (widths, sigmoid offsets, mixtures) on
+   the squared error of the ridge-solved output weights ("by including
+   m_i in the optimization, UBF can better adapt to specifics of the
+   data"), by the projected L-BFGS of :mod:`~repro.prediction.ubf.optimize`
+   with the exact gradient, then solve the output weights once more.
 
 Setting ``optimize_mixtures=False`` and ``mixture_init=1.0`` degenerates
 the network to a classic Gaussian RBF network -- the ablation baseline.
@@ -22,17 +23,18 @@ the network to a classic Gaussian RBF network -- the ablation baseline.
 from __future__ import annotations
 
 import numpy as np
-import scipy.cluster.vq
-import scipy.optimize
 
 from repro.errors import ConfigurationError, NotFittedError
+from repro.prediction.kmeans import kmeans2
 from repro.prediction.ubf.kernels import (
     UBFKernel,
     evaluate_kernels,
+    kernel_gradients,
     kernel_matrix,
     kernel_parameters,
     kernel_radii,
 )
+from repro.prediction.ubf.optimize import minimize_bounded
 from repro.rng import ensure_rng
 
 
@@ -51,7 +53,7 @@ class UBFNetwork:
         Whether mixture weights take part in the nonlinear optimization
         (``False`` + ``mixture_init=1.0`` = plain RBF).
     max_opt_iter:
-        L-BFGS-B iteration budget for kernel-parameter refinement.
+        Iteration budget of the kernel-parameter refinement.
     rng:
         Used for k-means initialization.
     """
@@ -117,9 +119,7 @@ class UBFNetwork:
 
     def _init_kernels(self, xs: np.ndarray) -> None:
         seed = int(self.rng.integers(0, 2**31 - 1))
-        centers, _ = scipy.cluster.vq.kmeans2(
-            xs, self.n_kernels, minit="++", seed=seed
-        )
+        centers, _ = kmeans2(xs, self.n_kernels, seed)
         self.centers = centers
         if self.n_kernels > 1:
             diffs = centers[:, None, :] - centers[None, :, :]
@@ -143,7 +143,7 @@ class UBFNetwork:
             self.sigmoid_offsets,
             self.mixtures,
         )
-        return _with_bias(k)
+        return np.column_stack([np.ones(k.shape[0]), k])
 
     def _fitted_kernel_parameters(self) -> tuple:
         return kernel_parameters(
@@ -153,10 +153,13 @@ class UBFNetwork:
             self.mixtures,
         )
 
-    def _solve_weights(self, design: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def _gram(self, design: np.ndarray) -> np.ndarray:
         gram = design.T @ design
         gram += self.ridge * np.eye(gram.shape[0])
-        return np.linalg.solve(gram, design.T @ y)
+        return gram
+
+    def _solve_weights(self, design: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(self._gram(design), design.T @ y)
 
     def _pack_params(self) -> np.ndarray:
         parts = [self.gaussian_widths, self.sigmoid_widths, self.sigmoid_offsets]
@@ -182,7 +185,7 @@ class UBFNetwork:
         self._optimize_kernels(radii, y)
         design = self._design(radii)
         self.weights = self._solve_weights(design, y)
-        residual = design @ self.weights - y
+        residual = _scores(design[:, 1:], self.weights) - y
         self.training_mse_ = float(np.mean(residual**2))
         self._kernel_parameters = self._fitted_kernel_parameters()
 
@@ -190,28 +193,41 @@ class UBFNetwork:
         if self.max_opt_iter <= 0:
             return
         k = self.n_kernels
+        n_params = 4 if self.optimize_mixtures else 3
 
-        def objective(theta: np.ndarray) -> float:
+        def objective(theta: np.ndarray) -> tuple[float, np.ndarray]:
+            """The training MSE and its exact gradient.
+
+            Variable projection: the weights are the ridge solution, so
+            with ``A`` the regularized Gram matrix, ``w = A^-1 D^T y``,
+            ``r = D w - y``, ``v = A^-1 D^T r`` and ``s = r - D v``, a
+            parameter of kernel ``i`` moves the MSE by
+            ``(2/n) sum_n dK[n, i] (w_i s_n - v_i r_n)``.
+            """
             self._unpack_params(theta)
             design = self._design(radii)
-            residual = design @ self._solve_weights(design, y) - y
-            return float(np.mean(residual**2))
+            gram = self._gram(design)
+            weights = np.linalg.solve(gram, design.T @ y)
+            residual = _scores(design[:, 1:], weights) - y
+            v = np.linalg.solve(gram, design.T @ residual)
+            sensitivity = residual - _scores(design[:, 1:], v)
+            coef = weights[1:] * sensitivity[:, None] - v[1:] * residual[:, None]
+            parts = kernel_gradients(
+                radii,
+                self.gaussian_widths,
+                self.sigmoid_widths,
+                self.sigmoid_offsets,
+                self.mixtures,
+            )[:n_params]
+            grad = np.concatenate([(part * coef).sum(axis=0) for part in parts])
+            return float(np.mean(residual**2)), grad * (2.0 / y.size)
 
-        bounds = (
-            [(1e-3, 50.0)] * k  # gaussian widths
-            + [(1e-3, 50.0)] * k  # sigmoid widths
-            + [(0.0, 50.0)] * k  # sigmoid offsets
+        lower = np.repeat([1e-3, 1e-3, 0.0, 0.0][:n_params], k)
+        upper = np.repeat([50.0, 50.0, 50.0, 1.0][:n_params], k)
+        theta, _, _ = minimize_bounded(
+            objective, self._pack_params(), lower, upper, self.max_opt_iter
         )
-        if self.optimize_mixtures:
-            bounds += [(0.0, 1.0)] * k
-        result = scipy.optimize.minimize(
-            objective,
-            self._pack_params(),
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={"maxiter": self.max_opt_iter},
-        )
-        self._unpack_params(result.x)
+        self._unpack_params(theta)
 
     def refine(
         self,
@@ -223,9 +239,9 @@ class UBFNetwork:
         """Continue kernel-parameter optimization from the current fit.
 
         Useful for warm starts -- e.g. fit a pure-Gaussian RBF first, then
-        enable mixture optimization and refine: because L-BFGS performs
-        monotone descent from the current parameters, the refined training
-        error can only improve.
+        enable mixture optimization and refine: the projected L-BFGS takes
+        no step that raises the training error, so the refined error can
+        only improve.
         """
         if not self._fitted:
             raise NotFittedError("refine() requires a fitted network")
@@ -248,7 +264,7 @@ class UBFNetwork:
             raise NotFittedError("UBFNetwork has not been fitted")
         radii = kernel_radii(self._standardize(x), self.centers)
         k = evaluate_kernels(radii, self._kernel_parameters)
-        return _with_bias(k) @ self.weights
+        return _scores(k, self.weights)
 
     def kernels(self) -> list[UBFKernel]:
         """The fitted kernels as individual objects (for inspection)."""
@@ -283,6 +299,12 @@ class UBFNetwork:
         )
 
 
-def _with_bias(k: np.ndarray) -> np.ndarray:
-    """The design matrix: a column of ones, then the kernel columns."""
-    return np.column_stack([np.ones(k.shape[0]), k])
+def _scores(kernels: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``beta_0 + sum_i beta_i K[n, i]``, the kernel terms summed row by row.
+
+    A matrix product picks its summation order by the number of rows, so a
+    row scored alone would differ in the last bit from the same row in a
+    batch; a per-row sum does not.  Adding the bias weight after the sum
+    spares ``predict`` the design's column of ones.
+    """
+    return weights[0] + (kernels * weights[1:]).sum(axis=1)

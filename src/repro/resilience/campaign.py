@@ -598,8 +598,8 @@ def _config_from_spec(spec: RunSpec) -> CampaignConfig:
     """The CampaignConfig one shard runs under.
 
     Seeds come from the spec, variables from
-    :func:`~repro.core.experiment.resolve_spec`, and the dataset, attack
-    knobs and predictor from its options.
+    :func:`~repro.core.experiment.resolve_spec`, the dataset and attack
+    knobs from its options, and the predictor from :func:`_spec_predictor`.
     """
     seeds = spec.seeds()
     variables, _, _ = resolve_spec(spec)
@@ -615,7 +615,7 @@ def _config_from_spec(spec: RunSpec) -> CampaignConfig:
         horizon=spec.horizon,
         variables=variables,
         dataset=spec_dataset(spec),
-        predictor=spec.option("predictor") or "ubf",
+        predictor=_spec_predictor(spec) or "ubf",
         telemetry=spec.telemetry,
         **knobs,
     )
@@ -635,8 +635,29 @@ def _train_key(spec: RunSpec) -> tuple:
         spec.horizon,
         spec.variables,
         repr(spec.option("dataset")),
-        repr(spec.option("predictor")),
+        repr(_spec_predictor(spec)),
     )
+
+
+def _spec_predictor(spec: RunSpec):
+    """The predictor a campaign shard trains; ``None`` is the default UBF.
+
+    :func:`campaign_specs` carries a non-default predictor in
+    ``options["predictor"]``, so default shards keep their historical
+    keys.  A spec built by hand may name it in ``predictor`` /
+    ``predictor_params`` instead, as a closed-loop spec does; naming two
+    different predictors is a :class:`ConfigurationError`.
+    """
+    option = spec.option("predictor")
+    if spec.predictor == "ubf" and not spec.predictor_params:
+        return option
+    named = normalize_predictor_spec({"name": spec.predictor, **spec.params()})
+    if option is not None and normalize_predictor_spec(option) != named:
+        raise ConfigurationError(
+            f"the spec names two predictors: options['predictor'] {option!r} "
+            f"and predictor / predictor_params {named!r}"
+        )
+    return option if option is not None else named
 
 
 def training_plan_for_spec(spec: RunSpec):

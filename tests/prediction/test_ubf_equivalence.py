@@ -108,13 +108,8 @@ class TestEquivalence:
 
 
 class TestPrediction:
-    """Scores from the parameter arrays cached at fit equal the oracle's.
-
-    ``design @ weights`` is a dot product for one row and a matrix-vector
-    product for many, and the two differ in the last bits on most rows,
-    the oracle's included.  So each shape is compared with its own: every
-    row alone against the oracle's row alone, the batch against its batch.
-    """
+    """Scores from the parameter arrays cached at fit equal the oracle's,
+    for every row alone and for the batch."""
 
     @pytest.fixture(scope="class")
     def pairs(self, samples, rbfs):
@@ -155,7 +150,7 @@ class TestEvaluationCounts:
         counts = {"radii": 0, "matrix": 0, "evaluate": 0, "objective": []}
         radii, matrix = network_module.kernel_radii, network_module.kernel_matrix
         evaluate = network_module.evaluate_kernels
-        minimize = network_module.scipy.optimize.minimize
+        minimize = network_module.minimize_bounded
 
         def count_radii(*args):
             counts["radii"] += 1
@@ -181,7 +176,7 @@ class TestEvaluationCounts:
         monkeypatch.setattr(network_module, "kernel_radii", count_radii)
         monkeypatch.setattr(network_module, "kernel_matrix", count_matrix)
         monkeypatch.setattr(network_module, "evaluate_kernels", count_evaluate)
-        monkeypatch.setattr(network_module.scipy.optimize, "minimize", spy_minimize)
+        monkeypatch.setattr(network_module, "minimize_bounded", spy_minimize)
         return counts
 
     @pytest.mark.parametrize("step", ["fit", "refine"])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.errors import ConfigurationError, NotFittedError
 from repro.prediction.ubf import UBFNetwork
@@ -114,3 +117,32 @@ class TestRBFDegeneration:
         net.fit(x, y)
         assert np.all(net.mixtures == 1.0)
         assert net.training_mse_ < 0.05
+
+
+@pytest.fixture(scope="module")
+def fitted_3d():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(300, 3))
+    y = np.sin(x[:, 0]) + x[:, 1] * x[:, 2]
+    return UBFNetwork(n_kernels=8, max_opt_iter=10, rng=np.random.default_rng(9)).fit(
+        x, y
+    )
+
+
+class TestBatchIndependence:
+    """The MEA cycle scores one row at a time, and the threshold is
+    calibrated on the training batch: both must see the same numbers."""
+
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(2, 40), st.just(3)),
+            elements=st.floats(-5.0, 5.0),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_a_row_scores_the_same_alone_and_in_a_batch(self, fitted_3d, rows):
+        batch = fitted_3d.predict(rows)
+        for i, row in enumerate(rows):
+            alone = fitted_3d.predict(row[None, :])
+            assert alone.tobytes() == batch[i : i + 1].tobytes(), i

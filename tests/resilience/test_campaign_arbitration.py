@@ -8,7 +8,10 @@ import json
 
 import pytest
 
+import repro.resilience.campaign as campaign_module
+from repro.errors import ConfigurationError
 from repro.fleet.spec import RunSpec
+from repro.prediction.arbitration import NoisyOrArbitrator
 from repro.prediction.registry import normalize_predictor_spec
 from repro.resilience.campaign import (
     CampaignConfig,
@@ -17,6 +20,7 @@ from repro.resilience.campaign import (
     _train_key,
     campaign_specs,
     run_campaign,
+    training_plan_for_spec,
 )
 
 PANEL = {
@@ -80,6 +84,55 @@ class TestSpecPlumbing:
         default = campaign_specs(CampaignConfig())[1]
         panel = campaign_specs(CampaignConfig(predictor=PANEL))[1]
         assert _train_key(default) != _train_key(panel)
+
+    def test_spec_fields_name_the_panel_a_shard_trains(self, monkeypatch):
+        """A shard built by hand names its predictor as a closed-loop spec does."""
+        spec = RunSpec(
+            scenario="healthy-pfm",
+            predictor="noisy-or",
+            predictor_params={"members": ["ubf", "rate"]},
+        )
+        panel = normalize_predictor_spec({"name": "noisy-or", "members": ["ubf", "rate"]})
+        assert _config_from_spec(spec).predictor == panel
+        assert _train_key(spec) != _train_key(RunSpec(scenario="healthy-pfm"))
+
+        built = []
+
+        class Built(Exception):
+            """The predictor is all this test reads: skip the simulation."""
+
+        def simulate_and_train(config, variables, predictor):
+            built.append(predictor)
+            raise Built
+
+        monkeypatch.setattr(campaign_module, "simulate_and_train", simulate_and_train)
+        _, train = training_plan_for_spec(spec)
+        with pytest.raises(Built):
+            train()
+        assert isinstance(built[0], NoisyOrArbitrator)
+        assert [member.name for member in built[0].members] == ["ubf", "rate"]
+
+    def test_two_different_predictors_are_refused(self):
+        spec = RunSpec(
+            scenario="healthy-pfm", predictor="rate", options={"predictor": PANEL}
+        )
+        with pytest.raises(ConfigurationError):
+            _config_from_spec(spec)
+        agreeing = RunSpec(
+            scenario="healthy-pfm",
+            predictor="noisy-or",
+            predictor_params={k: v for k, v in PANEL.items() if k != "name"},
+            options={"predictor": PANEL},
+        )
+        assert _config_from_spec(agreeing).predictor == CampaignConfig(
+            predictor=PANEL
+        ).predictor
+
+    def test_campaign_specs_keep_their_train_keys(self):
+        default = campaign_specs(CampaignConfig())[1]
+        panel = campaign_specs(CampaignConfig(predictor=PANEL))[1]
+        assert _train_key(default)[-1] == "None"
+        assert _train_key(panel)[-1] == repr(panel.option("predictor"))
 
     def test_config_normalizes_predictor(self):
         assert CampaignConfig().predictor == {"name": "ubf"}

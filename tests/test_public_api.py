@@ -44,20 +44,13 @@ def test_all_exports_resolve(name):
         assert hasattr(module, symbol), f"{name}.__all__ lists missing {symbol}"
 
 
-def test_public_imports_leave_scipy_stats_unloaded():
-    """``scipy.stats`` stays off the import path: it costs about 0.5 s.
+LOADED_SCIPY = (
+    "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+)
 
-    No ``repro`` module uses it.  A fresh interpreter imports every
-    package above and resolves every name it exports.
-    """
-    code = (
-        "import importlib, sys\n"
-        f"for name in ['repro', *{PACKAGES!r}]:\n"
-        "    module = importlib.import_module(name)\n"
-        "    for symbol in getattr(module, '__all__', []):\n"
-        "        getattr(module, symbol)\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
-    )
+
+def _run_fresh(code: str) -> str:
+    """Stdout of ``code`` run by a fresh interpreter on this ``repro``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(repro.__file__).parents[1])]
@@ -70,7 +63,46 @@ def test_public_imports_leave_scipy_stats_unloaded():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_public_imports_leave_scipy_unloaded():
+    """No scipy module on the import path: ``scipy.optimize`` alone costs
+    about 50 MiB and 0.3 s of every process's start.
+
+    A fresh interpreter imports every package above and resolves every
+    name it exports.
+    """
+    code = (
+        "import importlib, sys\n"
+        f"for name in ['repro', *{PACKAGES!r}]:\n"
+        "    module = importlib.import_module(name)\n"
+        "    for symbol in getattr(module, '__all__', []):\n"
+        "        getattr(module, symbol)\n" + LOADED_SCIPY
+    )
+    assert _run_fresh(code) == "[]"
+
+
+def test_training_and_runs_leave_scipy_unloaded():
+    """Nor on the run path: the default UBF's training, a closed loop, and
+    a Noisy-OR panel's fit (its HSMM member included), at a tiny horizon."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from repro import RunSpec, run_closed_loop\n"
+        "from repro.core.experiment import DEFAULT_VARIABLES, train_predictor, train_spec\n"
+        "from repro.prediction import make_predictor\n"
+        "from repro.telecom.dataset import DatasetConfig\n"
+        "spec = RunSpec(train_seed=11, eval_seed=21, horizon=21_600.0)\n"
+        "run_closed_loop(spec, trained=train_spec(spec))\n"
+        "panel = make_predictor(\n"
+        "    {'name': 'noisy-or', 'members': ['ubf', 'hsmm', 'rate']},\n"
+        "    rng=np.random.default_rng(11),\n"
+        ")\n"
+        "train_predictor(DatasetConfig(seed=11, horizon=21_600.0), DEFAULT_VARIABLES, panel)\n"
+        + LOADED_SCIPY
+    )
+    assert _run_fresh(code) == "[]"
 
 
 def test_version_exposed():
