@@ -47,6 +47,7 @@ from repro.resilience.escalation import EscalationChain
 from repro.resilience.fallback import FallbackPredictor
 from repro.resilience.policies import CircuitBreaker, RetryPolicy
 from repro.resilience.sanitizer import GaugeSanitizer
+from repro.simulator.events import Wakeup
 from repro.telecom.system import SCPSystem
 from repro.telemetry import events as tel_events
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
@@ -148,6 +149,7 @@ class PFMController:
         self.selector = ActionSelector(list(self.repertoire))
         self._restore_load = RestoreLoadAction()
         self._throttled = False
+        self._housekeeping_wakeup = Wakeup()
         self._last_action_time = -np.inf
         self._last_warning_time = -np.inf
         self._score_scale: tuple[float, float] | None = None
@@ -471,14 +473,13 @@ class PFMController:
     def start(self) -> None:
         """Begin the MEA cycle plus the load-restoration housekeeping."""
         self.mea.start()
-        self.system.engine.process(self._housekeeping(), name="pfm-housekeeping")
+        self._housekeeping_wakeup.start(self.system.engine, self._housekeeping)
 
-    def _housekeeping(self):
-        from repro.simulator.events import Timeout
-
-        while self.mea.running:
+    def _housekeeping(self) -> None:
+        """Runs every four evaluation periods while the MEA cycle runs."""
+        if self.mea.running:
             self.maybe_restore_load()
-            yield Timeout(EVAL_PERIOD * 4)
+            self._housekeeping_wakeup.after(EVAL_PERIOD * 4, self._housekeeping)
 
     # ------------------------------------------------------------------
     # Telemetry finalization

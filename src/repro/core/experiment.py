@@ -19,7 +19,6 @@ from repro.core.controller import PFMController
 from repro.fleet.spec import RunSpec
 from repro.prediction.base import SymptomPredictor, TrainingData
 from repro.prediction.registry import make_predictor
-from repro.simulator.events import Timeout
 from repro.telecom.dataset import DatasetConfig, prepare_simulation
 
 #: Default monitoring variables for the online controller (system gauges).
@@ -216,12 +215,11 @@ def _attach_repair_measurement(
     system = sim.system
     state = {"last_repair": -np.inf}
 
-    def checkpoints():
-        while True:
-            action.store.save(system.engine.now, tag="periodic")
-            yield Timeout(checkpoint_interval)
+    def checkpoint() -> None:
+        action.store.save(system.engine.now, tag="periodic")
+        system.engine.schedule(checkpoint_interval, checkpoint)
 
-    system.engine.process(checkpoints(), name="periodic-checkpoints")
+    system.engine.schedule(0.0, checkpoint)
     original_on_failure = system.sla.on_failure
 
     def on_failure(record) -> None:

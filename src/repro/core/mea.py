@@ -4,12 +4,12 @@
 runtime": monitor the system, evaluate whether the current state is
 failure-prone, and act on imminent failures.  The engine here is generic:
 it takes a monitor callable, an evaluator callable and an actor callable
-and repeats them as a simulation process, recording every iteration.
+and repeats them as a periodic simulation loop, recording every iteration.
 
 The cycle is hardened against its own steps: an exception in monitor,
 evaluate or act is caught into a structured :class:`StepFailure` record
 (optionally retried per a :class:`~repro.resilience.policies.RetryPolicy`)
-instead of killing the ``mea-cycle`` process.  A fully-failed iteration
+instead of ending the cycle.  A fully-failed iteration
 delays the next one by the policy's exponential backoff -- the cycle
 slows down under sustained trouble but never dies silently.  A slow
 prediction is not the cycle's concern: the controller's
@@ -32,7 +32,7 @@ from typing import Any, Callable
 from repro.errors import ConfigurationError
 from repro.resilience.policies import RetryPolicy
 from repro.simulator.engine import Engine
-from repro.simulator.events import Timeout
+from repro.simulator.events import Wakeup
 from repro.telemetry import events as tel_events
 from repro.telemetry.hub import NULL_HUB, TelemetryHub
 
@@ -110,6 +110,7 @@ class MEACycle:
     running: bool = field(default=False, init=False)
     failures: list[StepFailure] = field(default_factory=list, init=False)
     consecutive_failed_cycles: int = field(default=0, init=False)
+    _wakeup: Wakeup = field(default_factory=Wakeup, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.period <= 0:
@@ -120,7 +121,7 @@ class MEACycle:
         if self.running:
             return
         self.running = True
-        self.engine.process(self._run(), name="mea-cycle")
+        self._wakeup.start(self.engine, self._cycle)
 
     def stop(self) -> None:
         """Stop the repeating cycle after the current iteration."""
@@ -236,13 +237,14 @@ class MEACycle:
         )
         return record
 
-    def _run(self):
-        while self.running:
-            self.step()
-            delay = self.period
-            if self.retry is not None and self.consecutive_failed_cycles > 0:
-                delay += self.retry.backoff(self.consecutive_failed_cycles)
-            yield Timeout(delay)
+    def _cycle(self) -> None:
+        if not self.running:
+            return
+        self.step()
+        delay = self.period
+        if self.retry is not None and self.consecutive_failed_cycles > 0:
+            delay += self.retry.backoff(self.consecutive_failed_cycles)
+        self._wakeup.after(delay, self._cycle)
 
     # ------------------------------------------------------------------
     # Accounting

@@ -25,7 +25,7 @@ import numpy as np
 from repro.faults.classification import FaultPersistence
 from repro.faults.model import Fault
 from repro.simulator.engine import Engine
-from repro.simulator.events import Timeout
+from repro.simulator.events import Wakeup
 
 
 @runtime_checkable
@@ -58,7 +58,11 @@ class InjectionTarget(Protocol):
 
 
 class FaultInjector(abc.ABC):
-    """Base class: owns a fault and drives its activation over time."""
+    """Base class: owns a fault and drives its activation over time.
+
+    :meth:`start` fires :meth:`_begin` at the current time; each firing
+    of the degradation process schedules the next through ``_wakeup``.
+    """
 
     #: Error-log message-id block used by this injector family.
     message_base: int = 0
@@ -75,6 +79,7 @@ class FaultInjector(abc.ABC):
             kind=self.kind(), component=target.name, persistence=persistence
         )
         self.active = False
+        self._wakeup = Wakeup()
 
     @classmethod
     def kind(cls) -> str:
@@ -85,19 +90,39 @@ class FaultInjector(abc.ABC):
         """Activate the fault and launch the degradation process."""
         self.fault.activate(engine.now)
         self.active = True
-        engine.process(self._run(engine), name=f"inject:{self.kind()}:{self.target.name}")
+        self._wakeup.start(engine, self._begin)
 
     def stop(self) -> None:
-        """Deactivate (the running process observes ``self.active``)."""
+        """Deactivate (the process observes ``self.active`` at its next wake-up)."""
         self.active = False
         self.fault.deactivate()
 
     @abc.abstractmethod
-    def _run(self, engine: Engine):
-        """Generator implementing the degradation process."""
+    def _begin(self) -> None:
+        """The process's first firing, at the time of :meth:`start`."""
 
 
-class MemoryLeakInjector(FaultInjector):
+class _PoissonInjector(FaultInjector):
+    """Acts at exponential gaps of mean ``period`` while active; each gap
+    is drawn when the firing before it (the first: the start) ends."""
+
+    period: float
+
+    def _begin(self) -> None:
+        if self.active:
+            self._wakeup.after(self.rng.exponential(self.period), self._fire)
+
+    def _fire(self) -> None:
+        if self.active:
+            self._act()
+            self._begin()
+
+    @abc.abstractmethod
+    def _act(self) -> None:
+        """One activation of the fault."""
+
+
+class MemoryLeakInjector(_PoissonInjector):
     """Leak memory at ``rate_mb`` per period; occasionally log allocation
     warnings once leakage is substantial (errors follow symptoms)."""
 
@@ -117,20 +142,16 @@ class MemoryLeakInjector(FaultInjector):
         self.warn_after_mb = warn_after_mb
         self.leaked = 0.0
 
-    def _run(self, engine: Engine):
-        while self.active:
-            yield Timeout(self.rng.exponential(self.period))
-            if not self.active:
-                return
-            amount = self.rng.gamma(2.0, self.rate_mb / 2.0)
-            self.target.leak_memory(amount)
-            self.leaked += amount
-            if self.leaked > self.warn_after_mb and self.rng.random() < 0.4:
-                self.target.emit_error(
-                    self.message_base + int(self.rng.integers(0, 3)),
-                    self.fault.fault_id,
-                    severity=2,
-                )
+    def _act(self) -> None:
+        amount = self.rng.gamma(2.0, self.rate_mb / 2.0)
+        self.target.leak_memory(amount)
+        self.leaked += amount
+        if self.leaked > self.warn_after_mb and self.rng.random() < 0.4:
+            self.target.emit_error(
+                self.message_base + int(self.rng.integers(0, 3)),
+                self.fault.fault_id,
+                severity=2,
+            )
 
 
 class ProcessHangInjector(FaultInjector):
@@ -160,14 +181,15 @@ class ProcessHangInjector(FaultInjector):
         self.step_period = step_period
         self._applied = 0.0
 
-    def _run(self, engine: Engine):
+    def _begin(self) -> None:
         self.target.degrade_capacity(self.initial_loss)
-        self._applied = self.initial_loss
+        # A superseded loop's loss is still applied: it counts toward max_loss.
+        self._applied += self.initial_loss
         self.target.emit_error(self.message_base, self.fault.fault_id, severity=3)
-        while self.active:
-            yield Timeout(self.rng.exponential(self.step_period))
-            if not self.active:
-                break
+        self._next_hang()
+
+    def _hang(self) -> None:
+        if self.active:
             if self._applied < self.max_loss:
                 self.target.degrade_capacity(self.step_loss)
                 self._applied += self.step_loss
@@ -176,11 +198,18 @@ class ProcessHangInjector(FaultInjector):
                 self.fault.fault_id,
                 severity=2,
             )
-        self.target.restore_capacity()
-        self._applied = 0.0
+        self._next_hang()
+
+    def _next_hang(self) -> None:
+        if self.active:
+            self._wakeup.after(self.rng.exponential(self.step_period), self._hang)
+        else:
+            # Runs at the first wake-up after stop(), not at stop() itself.
+            self.target.restore_capacity()
+            self._applied = 0.0
 
 
-class StateCorruptionInjector(FaultInjector):
+class StateCorruptionInjector(_PoissonInjector):
     """Latent corruption accumulates, surfacing as error bursts."""
 
     message_base = 300
@@ -199,22 +228,18 @@ class StateCorruptionInjector(FaultInjector):
         self.burst_threshold = burst_threshold
         self.level = 0.0
 
-    def _run(self, engine: Engine):
-        while self.active:
-            yield Timeout(self.rng.exponential(self.period))
-            if not self.active:
-                return
-            increment = self.rng.exponential(self.growth)
-            self.level += increment
-            self.target.corrupt_state(increment)
-            if self.level > self.burst_threshold:
-                burst = 1 + int(self.rng.poisson(2))
-                for _ in range(burst):
-                    self.target.emit_error(
-                        self.message_base + int(self.rng.integers(0, 4)),
-                        self.fault.fault_id,
-                        severity=2,
-                    )
+    def _act(self) -> None:
+        increment = self.rng.exponential(self.growth)
+        self.level += increment
+        self.target.corrupt_state(increment)
+        if self.level > self.burst_threshold:
+            burst = 1 + int(self.rng.poisson(2))
+            for _ in range(burst):
+                self.target.emit_error(
+                    self.message_base + int(self.rng.integers(0, 4)),
+                    self.fault.fault_id,
+                    severity=2,
+                )
 
 
 class OverloadInjector(FaultInjector):
@@ -235,12 +260,22 @@ class OverloadInjector(FaultInjector):
         self.ramp_steps = ramp_steps
         self.step_period = step_period
         self._applied = 0.0
+        self._ramped = 0
 
-    def _run(self, engine: Engine):
-        step = self.extra_load / self.ramp_steps
-        for _ in range(self.ramp_steps):
-            if not self.active:
-                break
+    def _begin(self) -> None:
+        self._ramped = 0
+        self._ramp()
+
+    def _ramp(self) -> None:
+        if not self.active:
+            # Runs at the first wake-up after stop(), not at stop() itself.
+            self.target.add_background_load(-self._applied)
+            self._applied = 0.0
+            return
+        # Ramp up one step per period, then hold the overload while active.
+        if self._ramped < self.ramp_steps:
+            self._ramped += 1
+            step = self.extra_load / self.ramp_steps
             self.target.add_background_load(step)
             self._applied += step
             if self._applied > self.extra_load * 0.5:
@@ -249,15 +284,10 @@ class OverloadInjector(FaultInjector):
                     self.fault.fault_id,
                     severity=1,
                 )
-            yield Timeout(self.step_period)
-        # Hold the overload while active.
-        while self.active:
-            yield Timeout(self.step_period)
-        self.target.add_background_load(-self._applied)
-        self._applied = 0.0
+        self._wakeup.after(self.step_period, self._ramp)
 
 
-class IntermittentErrorInjector(FaultInjector):
+class IntermittentErrorInjector(_PoissonInjector):
     """Benign background errors that never lead to failures.
 
     This is the noise floor: a realistic error log contains many reports
@@ -278,13 +308,9 @@ class IntermittentErrorInjector(FaultInjector):
         self.period = period
         self.n_message_types = n_message_types
 
-    def _run(self, engine: Engine):
-        while self.active:
-            yield Timeout(self.rng.exponential(self.period))
-            if not self.active:
-                return
-            self.target.emit_error(
-                self.message_base + int(self.rng.integers(0, self.n_message_types)),
-                self.fault.fault_id,
-                severity=1,
-            )
+    def _act(self) -> None:
+        self.target.emit_error(
+            self.message_base + int(self.rng.integers(0, self.n_message_types)),
+            self.fault.fault_id,
+            severity=1,
+        )

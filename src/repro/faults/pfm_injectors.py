@@ -43,7 +43,7 @@ from repro.actions.base import Action, ActionOutcome
 from repro.errors import ActionExecutionError, ConfigurationError, PFMFaultError
 from repro.rng import ensure_rng
 from repro.simulator.engine import Engine
-from repro.simulator.events import Timeout
+from repro.simulator.events import Wakeup
 
 #: Valid fault modes per proxy family.
 PREDICTOR_FAULT_MODES = ("exception", "nan")
@@ -166,6 +166,7 @@ class PFMInjector(abc.ABC):
         self.running = False
         self.attacking = False
         self.episodes = 0
+        self._wakeup = Wakeup()
 
     @classmethod
     def kind(cls) -> str:
@@ -175,7 +176,7 @@ class PFMInjector(abc.ABC):
     def start(self, engine: Engine) -> None:
         """Launch the episodic attack process."""
         self.running = True
-        engine.process(self._run(), name=f"pfm-inject:{self.kind()}")
+        self._wakeup.start(engine, self._await_episode)
 
     def stop(self) -> None:
         """Stop attacking (ends any in-progress episode)."""
@@ -184,18 +185,23 @@ class PFMInjector(abc.ABC):
             self._deactivate()
             self.attacking = False
 
-    def _run(self):
-        while self.running:
-            yield Timeout(self.rng.exponential(self.mtbf))
-            if not self.running:
-                return
-            self._activate()
-            self.attacking = True
-            self.episodes += 1
-            yield Timeout(self.duration)
-            if self.attacking:
-                self._deactivate()
-                self.attacking = False
+    def _await_episode(self) -> None:
+        if self.running:
+            self._wakeup.after(self.rng.exponential(self.mtbf), self._begin_episode)
+
+    def _begin_episode(self) -> None:
+        if not self.running:
+            return
+        self._activate()
+        self.attacking = True
+        self.episodes += 1
+        self._wakeup.after(self.duration, self._end_episode)
+
+    def _end_episode(self) -> None:
+        if self.attacking:
+            self._deactivate()
+            self.attacking = False
+        self._await_episode()
 
     @abc.abstractmethod
     def _activate(self) -> None:

@@ -15,7 +15,7 @@ from typing import Callable
 from repro.errors import ConfigurationError
 from repro.monitoring.timeseries import TimeSeriesStore
 from repro.simulator.engine import Engine
-from repro.simulator.events import Timeout
+from repro.simulator.events import Wakeup
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,7 @@ class PeriodicCollector:
         self.interval = interval
         self.samples_taken = 0
         self._running = False
-        # Each start() opens a new generation; a loop whose generation is
-        # stale exits, so stop() then start() never leaves two loops.
-        self._generation = 0
+        self._wakeup = Wakeup()
         # The gauges (and store) the probes below were resolved for.
         self._probed: tuple[TimeSeriesStore, list[Gauge]] | None = None
         self._reads: list[tuple[str, Callable[[], float]]] = []
@@ -80,8 +78,7 @@ class PeriodicCollector:
         if self._running:
             return
         self._running = True
-        self._generation += 1
-        self.engine.process(self._run(self._generation), name="collector")
+        self._wakeup.start(self.engine, self._sample)
 
     def stop(self) -> None:
         self._running = False
@@ -112,7 +109,7 @@ class PeriodicCollector:
         self.samples_taken += 1
         return values
 
-    def _run(self, generation: int):
-        while self._running and generation == self._generation:
+    def _sample(self) -> None:
+        if self._running:
             self.sample_once()
-            yield Timeout(self.interval)
+            self._wakeup.after(self.interval, self._sample)

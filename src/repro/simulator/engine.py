@@ -3,26 +3,31 @@
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Generator
+import math
+from typing import Callable
 
 from repro.errors import SimulationError
 from repro.simulator.events import Event
-from repro.simulator.process import Process
 
 
 class Engine:
     """Event queue with a simulated clock.
 
-    Typical use::
+    Everything that happens in a simulation is a callback fired at a
+    simulated time.  A periodic activity is a method that does its work
+    and then schedules its own next firing::
 
         engine = Engine()
 
-        def worker():
-            yield Timeout(5.0)
-            print("woke at", engine.now)
+        def tick():
+            print("tick at", engine.now)
+            engine.schedule(5.0, tick)
 
-        engine.process(worker())
+        engine.schedule(0.0, tick)
         engine.run(until=100.0)
+
+    :class:`~repro.simulator.events.Wakeup` keeps such a loop single when
+    it can be stopped and started again.
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
@@ -61,15 +66,9 @@ class Engine:
             )
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time=time, priority=priority, seq=seq, callback=callback)
+        event = Event(time, priority, seq, callback)
         heapq.heappush(self._queue, (time, priority, seq, event))
         return event
-
-    def process(self, generator: Generator, name: str = "") -> Process:
-        """Register a generator-based process and start it immediately."""
-        proc = Process(self, generator, name=name)
-        proc.start()
-        return proc
 
     # ------------------------------------------------------------------
     # Execution
@@ -97,20 +96,28 @@ class Engine:
         if self._running:
             raise SimulationError("engine is already running (no re-entrant run)")
         self._running = True
+        queue = self._queue
+        pop = heapq.heappop
+        bound = math.inf if until is None else until
+        limit = math.inf if max_events is None else max_events
         fired = 0
         try:
-            while self._queue:
-                if max_events is not None and fired >= max_events:
+            while queue:
+                if fired >= limit:
                     break
-                time, _, _, head = self._queue[0]
-                if head.cancelled:
-                    heapq.heappop(self._queue)
+                entry = pop(queue)
+                event = entry[3]
+                if event.cancelled:
                     continue
-                if until is not None and time > until:
+                time = entry[0]
+                if time > bound:
+                    # Keys are unique, so re-pushing keeps the firing order.
+                    heapq.heappush(queue, entry)
                     self._now = until
                     break
-                if not self.step():
-                    break
+                self._now = time
+                self.processed_events += 1
+                event.callback()
                 fired += 1
             else:
                 if until is not None and self._now < until:

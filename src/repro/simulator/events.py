@@ -1,24 +1,22 @@
 """Event primitives for the discrete-event engine.
 
-Two things can sit in a process's ``yield``:
-
-- :class:`Timeout` -- resume after a simulated delay,
-- :class:`Signal` -- resume when another process triggers the signal.
-
 :class:`Event` is the handle :meth:`Engine.schedule` returns (the engine
 queues it as ``(time, priority, seq, event)``); user code rarely
-constructs it directly.
+constructs it directly.  :class:`Wakeup` keeps the pending firing of one
+periodic loop, so a stopped loop that is started again runs once, not
+twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.errors import SimulationError
+if TYPE_CHECKING:
+    from repro.simulator.engine import Engine
 
 
-@dataclass(order=True)
+@dataclass(order=True, slots=True)
 class Event:
     """An entry in the engine's event queue.
 
@@ -37,52 +35,31 @@ class Event:
         self.cancelled = True
 
 
-class Timeout:
-    """Yielded by a process to sleep for ``delay`` simulated time units."""
+class Wakeup:
+    """The pending firing of one periodic loop.
 
-    __slots__ = ("delay",)
-
-    def __init__(self, delay: float) -> None:
-        if delay < 0:
-            raise SimulationError(f"timeout delay must be >= 0, got {delay}")
-        self.delay = float(delay)
-
-    def __repr__(self) -> str:
-        return f"Timeout({self.delay})"
-
-
-class Signal:
-    """A broadcast condition processes can wait on.
-
-    A process waits by ``value = yield signal``; another process wakes all
-    waiters with :meth:`trigger`.  The triggered payload is delivered as the
-    value of the ``yield`` expression.
+    A periodic loop is a method that runs its body and then schedules its
+    own next firing through :meth:`after`.  :meth:`start` schedules the
+    first firing at delay 0, on the engine later firings use, and cancels
+    the firing an earlier start left pending.  So a loop that is stopped
+    and started again before its next wake-up goes on as one loop: the
+    superseded loop never fires again, neither its body nor its clean-up,
+    and the new loop takes over the state it leaves behind.
     """
 
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._waiters: list[Any] = []  # Process instances
-        self._engine: Any = None
+    __slots__ = ("engine", "event")
 
-    def _register(self, process: Any, engine: Any) -> None:
-        self._waiters.append(process)
-        self._engine = engine
+    def __init__(self) -> None:
+        self.engine: Engine | None = None
+        self.event: Event | None = None
 
-    def trigger(self, payload: Any = None) -> int:
-        """Wake all waiting processes; returns how many were woken."""
-        if self._engine is None:
-            # Nobody ever waited; nothing to do.
-            count = len(self._waiters)
-            self._waiters.clear()
-            return count
-        waiters, self._waiters = self._waiters, []
-        for process in waiters:
-            self._engine.schedule(0.0, lambda p=process: p.resume(payload))
-        return len(waiters)
+    def start(self, engine: Engine, callback: Callable[[], None]) -> None:
+        """Supersede any pending firing; fire ``callback`` on ``engine`` now."""
+        if self.event is not None:
+            self.event.cancel()
+        self.engine = engine
+        self.event = engine.schedule(0.0, callback)
 
-    @property
-    def waiter_count(self) -> int:
-        return len(self._waiters)
-
-    def __repr__(self) -> str:
-        return f"Signal({self.name!r}, waiters={len(self._waiters)})"
+    def after(self, delay: float, callback: Callable[[], None]) -> None:
+        """Schedule the loop's next firing ``delay`` from now."""
+        self.event = self.engine.schedule(delay, callback)

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.simulator.engine import Engine
-from repro.simulator.events import Timeout
+from repro.simulator.events import Wakeup
 from repro.telecom.components import Component
 
 
@@ -40,24 +40,35 @@ class NaturalAgingProcess:
         self.gc_period = gc_period
         self.gc_effectiveness = gc_effectiveness
         self.running = False
+        self._leak_wakeup = Wakeup()
+        self._gc_wakeup = Wakeup()
 
     def start(self, engine: Engine) -> None:
         self.running = True
-        engine.process(self._leak(), name=f"aging-leak:{self.component.name}")
-        engine.process(self._collect(), name=f"aging-gc:{self.component.name}")
+        self._leak_wakeup.start(engine, self._arm_leak)
+        self._gc_wakeup.start(engine, self._arm_collect)
 
     def stop(self) -> None:
         self.running = False
 
-    def _leak(self):
-        while self.running:
-            yield Timeout(self.rng.exponential(self.leak_period))
-            if self.running:
-                self.component.leak_memory(self.rng.exponential(self.leak_rate_mb))
+    # Each loop's first firing only draws its first gap; later firings
+    # run the body, then draw the next gap from the same stream.
 
-    def _collect(self):
-        while self.running:
-            yield Timeout(self.rng.exponential(self.gc_period))
-            if self.running:
-                # Partial GC: recovers recently leaked memory only.
-                self.component.leaked_mb *= 1.0 - self.gc_effectiveness * self.rng.random()
+    def _arm_leak(self) -> None:
+        if self.running:
+            self._leak_wakeup.after(self.rng.exponential(self.leak_period), self._leak)
+
+    def _leak(self) -> None:
+        if self.running:
+            self.component.leak_memory(self.rng.exponential(self.leak_rate_mb))
+            self._arm_leak()
+
+    def _arm_collect(self) -> None:
+        if self.running:
+            self._gc_wakeup.after(self.rng.exponential(self.gc_period), self._collect)
+
+    def _collect(self) -> None:
+        if self.running:
+            # Partial GC: recovers recently leaked memory only.
+            self.component.leaked_mb *= 1.0 - self.gc_effectiveness * self.rng.random()
+            self._arm_collect()

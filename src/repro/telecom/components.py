@@ -94,6 +94,8 @@ class Component:
 
         # Restart bookkeeping.
         self.restarting_until: float | None = None
+        #: Called when a restart begins (the owning system listens).
+        self.on_restart: Callable[[], None] | None = None
         self._clock: Callable[[], float] = lambda: 0.0
 
         # Counters.
@@ -244,6 +246,8 @@ class Component:
         """Take the component down for ``duration`` (preventive restart)."""
         self.restarting_until = now + duration
         self.restarts += 1
+        if self.on_restart is not None:
+            self.on_restart()
 
     def finish_restart_if_due(self, now: float) -> bool:
         """Complete a pending restart; resets all degradation state."""

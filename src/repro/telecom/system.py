@@ -25,7 +25,6 @@ from repro.faults.detectors import TimingCheck
 from repro.monitoring.collectors import Gauge
 from repro.monitoring.logbook import ErrorLog, FailureLog
 from repro.simulator.engine import Engine
-from repro.simulator.events import Timeout
 from repro.simulator.random_streams import RandomStreams
 from repro.telecom.aging import NaturalAgingProcess
 from repro.telecom.components import Component, Tier
@@ -35,6 +34,8 @@ from repro.telecom.workload import (
     WorkloadConfig,
     WorkloadModel,
 )
+
+_SQRT2 = math.sqrt(2.0)
 
 
 # ----------------------------------------------------------------------
@@ -196,10 +197,12 @@ class SCPSystem:
         )
         self._frontends = tuple(self.frontends[p] for p in Protocol)
         self._components = (*self._frontends, *self.containers, self.database)
+        # Whether a component may be restarting (see ``_finish_restarts``).
+        self._restarting = False
         # Load-balancer weights over containers (normalized on use).
         self.weights: dict[str, float] = {c.name: 1.0 for c in self.containers}
-        # (up containers, their raw weights, normalized array, as list).
-        self._weight_cache: tuple[list, list, np.ndarray, list[float]] | None = None
+        # (up containers, all weights, normalized array, as list).
+        self._weight_cache: tuple[list, dict, np.ndarray, list[float]] | None = None
         # Admission control: fraction of arrivals accepted.
         self.admission_fraction = 1.0
 
@@ -209,6 +212,7 @@ class SCPSystem:
         self.last_violation_prob = 0.0
         self.rejected_requests = 0
         self.ticks_run = 0
+        self._log_deadline = math.log(self.config.deadline)
 
         self._aging: list[NaturalAgingProcess] = []
         self._started = False
@@ -230,6 +234,7 @@ class SCPSystem:
             error_sink=self.error_log.report,
         )
         component.bind_clock(lambda: self.engine.now)
+        component.on_restart = self._restart_begun
         return component
 
     # ------------------------------------------------------------------
@@ -248,12 +253,11 @@ class SCPSystem:
                 )
                 aging.start(self.engine)
                 self._aging.append(aging)
-        self.engine.process(self._tick_loop(), name="scp-ticks")
+        self.engine.schedule(0.0, self._tick)
 
-    def _tick_loop(self):
-        while True:
-            self._do_tick()
-            yield Timeout(self.config.tick)
+    def _tick(self) -> None:
+        self._do_tick()
+        self.engine.schedule(self.config.tick, self._tick)
 
     def all_components(self) -> list[Component]:
         return list(self._components)
@@ -277,9 +281,8 @@ class SCPSystem:
         config = self.config
         dt = config.tick
         rng = self._rt_rng
-        for component in self._components:
-            if component.restarting_until is not None:
-                component.finish_restart_if_due(now)
+        if self._restarting:
+            self._finish_restarts(now)
 
         workload = self.workload
         counts = workload.arrival_counts(now, dt)
@@ -297,10 +300,14 @@ class SCPSystem:
 
         # Frontend tier: protocol split drives each frontend's stretch.
         scale = admitted / total
-        protocol_counts = [round(n * scale) for n in workload.protocol_counts(counts)]
-        frontend_total = max(sum(protocol_counts), 1)
+        protocol_counts = workload.protocol_counts(counts)
+        if admitted != total:
+            # With everything admitted, ``round(n * 1.0)`` is ``n``.
+            protocol_counts = [round(n * scale) for n in protocol_counts]
+        frontend_total = sum(protocol_counts) or 1
         frontend_time = 0.0
-        for frontend, n in zip(self._frontends, protocol_counts, strict=True):
+        for i, frontend in enumerate(self._frontends):
+            n = protocol_counts[i]
             stretch = frontend.stretch_factor(n, dt)
             frontend_time += n / frontend_total * frontend.service_time * stretch
 
@@ -313,7 +320,9 @@ class SCPSystem:
         # Container tier: split admitted demand by load-balancer weights
         # over components that are actually up.
         demand = workload.demand_of(counts) * scale
-        up = [c for c in self.containers if c.restarting_until is None]
+        up = self.containers
+        if self._restarting:
+            up = [c for c in up if c.restarting_until is None]
         violations = 0
         mean_rt_acc = 0.0
         if not up:
@@ -324,13 +333,12 @@ class SCPSystem:
         else:
             weights, weight_list = self._normalized_weights(up)
             request_split = rng.multinomial(admitted, weights).tolist()
-            log_deadline = math.log(config.deadline)
+            binomial = rng.binomial
+            log_deadline = self._log_deadline
             rt_sigma = config.rt_sigma
-            sqrt2 = math.sqrt(2.0)
             prob_acc = 0.0
-            for component, n_requests, weight in zip(
-                up, request_split, weight_list, strict=True
-            ):
+            for i, component in enumerate(up):
+                n_requests, weight = request_split[i], weight_list[i]
                 stretch = component.stretch_factor(demand * weight, dt)
                 mean_rt = frontend_time + component.service_time * stretch + db_time
                 # P(RT > deadline) for a log-normal RT around ``mean_rt``:
@@ -339,9 +347,9 @@ class SCPSystem:
                     p_violate = 0.0
                 else:
                     z = (log_deadline - math.log(mean_rt)) / rt_sigma
-                    p_violate = 0.5 * math.erfc(z / sqrt2)
+                    p_violate = 0.5 * math.erfc(z / _SQRT2)
                 if n_requests > 0:
-                    violations += int(rng.binomial(n_requests, p_violate))
+                    violations += int(binomial(n_requests, p_violate))
                 mean_rt_acc += weight * mean_rt
                 prob_acc += weight * p_violate
             self.last_violation_prob = prob_acc
@@ -361,21 +369,36 @@ class SCPSystem:
         self.sla.record_batch(now, admitted, violations)
         self.ticks_run += 1
 
+    def _restart_begun(self) -> None:
+        self._restarting = True
+
+    def _finish_restarts(self, now: float) -> None:
+        """Bring back every component whose restart is due.  The tick skips
+        this scan and the up filter until ``Component.begin_restart``,
+        however called, reports a restart through ``_restart_begun``."""
+        restarting = False
+        for component in self._components:
+            if component.restarting_until is not None:
+                component.finish_restart_if_due(now)
+                if component.restarting_until is not None:
+                    restarting = True
+        self._restarting = restarting
+
     def _normalized_weights(
         self, up: list[Component]
     ) -> tuple[np.ndarray, list[float]]:
         """Load-balancer weights over ``up``, normalized to sum to 1.
 
-        Recomputed only when the up set or one of its weights changed.
+        Recomputed only when the up set or a weight changed.
         """
-        raw = [self.weights[c.name] for c in up]
         cached = self._weight_cache
-        if cached is None or cached[0] != up or cached[1] != raw:
-            weights = np.array([max(w, 0.0) for w in raw])
+        if cached is None or cached[0] != up or cached[1] != self.weights:
+            weights = np.array([max(self.weights[c.name], 0.0) for c in up])
             if weights.sum() <= 0:
                 weights = np.ones(len(up))
             weights = weights / weights.sum()
-            cached = self._weight_cache = (up, raw, weights, weights.tolist())
+            cached = (up, dict(self.weights), weights, weights.tolist())
+            self._weight_cache = cached
         return cached[2], cached[3]
 
     # ------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from repro.errors import ConfigurationError
 
 DAY = 86_400.0
 WEEK = 7 * DAY
+_TWO_PI = 2.0 * math.pi
 
 
 class ServiceType(enum.Enum):
@@ -118,15 +120,17 @@ class WorkloadModel:
         self._protocol_index = tuple(
             list(Protocol).index(SERVICE_PROTOCOL[s]) for s in self._services
         )
+        self._n_protocols = len(Protocol)
 
     def rate_at(self, time: float) -> float:
         """Instantaneous total arrival rate (requests/second) at ``time``."""
+        config = self.config
         hour = (time % DAY) / 3600.0
-        phase = 2.0 * math.pi * (hour - self.config.peak_hour) / 24.0
-        diurnal = 1.0 + self.config.diurnal_amplitude * math.cos(phase)
+        phase = _TWO_PI * (hour - config.peak_hour) / 24.0
+        diurnal = 1.0 + config.diurnal_amplitude * math.cos(phase)
         day_of_week = int(time % WEEK // DAY)
-        weekly = self.config.weekend_factor if day_of_week >= 5 else 1.0
-        return self.config.base_rate * diurnal * weekly
+        weekly = config.weekend_factor if day_of_week >= 5 else 1.0
+        return config.base_rate * diurnal * weekly
 
     def arrival_counts(self, time: float, dt: float) -> list[int]:
         """Poisson arrival counts over ``[time, time+dt)``, in mix order."""
@@ -136,13 +140,13 @@ class WorkloadModel:
 
     def demand_of(self, counts: list[int]) -> float:
         """Total processing demand of mix-ordered counts (request-equivalents)."""
-        return sum([d * n for d, n in zip(self._demands, counts, strict=True)])
+        return sum(map(mul, self._demands, counts))
 
     def protocol_counts(self, counts: list[int]) -> list[int]:
         """Arrival counts per ingress protocol, in :class:`Protocol` order."""
-        split = [0] * len(Protocol)
-        for index, n in zip(self._protocol_index, counts, strict=True):
-            split[index] += n
+        split = [0] * self._n_protocols
+        for i, index in enumerate(self._protocol_index):
+            split[index] += counts[i]
         # A slice of all traffic arrives over plain IP management interfaces.
         split[_IP] += int(0.1 * sum(counts))
         return split

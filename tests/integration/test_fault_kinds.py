@@ -80,14 +80,11 @@ def test_matching_countermeasure_averts_failures(kind, countermeasure, action_ti
 def test_repeated_countermeasures_keep_leak_under_control():
     """A repeated clean-up (what the MEA cycle would do) beats a one-shot."""
     def repeated(system):
-        def loop():
-            from repro.simulator.events import Timeout
+        def cleanup() -> None:
+            system.cleanup_component("container-0", 0.9)
+            system.engine.schedule(300.0, cleanup)
 
-            while True:
-                system.cleanup_component("container-0", 0.9)
-                yield Timeout(300.0)
-
-        system.engine.process(loop(), name="periodic-cleanup")
+        system.engine.schedule(0.0, cleanup)
 
     protected = run_with_fault("memory-leak", repeated, horizon=6_000.0)
     assert len(protected.failure_log) == 0

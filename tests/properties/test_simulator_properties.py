@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator import Engine, Timeout
+from repro.simulator import Engine
 from repro.telecom import SLAChecker
 
 
@@ -100,15 +100,19 @@ class TestEngineProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_process_timeouts_accumulate_exactly(self, delays):
+        """A loop that reschedules itself after each delay ends at their sum."""
         engine = Engine()
         finish = []
+        remaining = iter(delays)
 
-        def proc():
-            for delay in delays:
-                yield Timeout(delay)
-            finish.append(engine.now)
+        def wake() -> None:
+            delay = next(remaining, None)
+            if delay is None:
+                finish.append(engine.now)
+            else:
+                engine.schedule(delay, wake)
 
-        engine.process(proc())
+        engine.schedule(0.0, wake)
         engine.run()
         assert abs(finish[0] - sum(delays)) < 1e-6
 

@@ -1,7 +1,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulator import Engine, Timeout
+from repro.simulator import Engine
 
 
 class TestScheduling:
@@ -92,59 +92,3 @@ class TestRun:
         engine.run()
         assert engine.processed_events == 4
 
-
-class TestProcesses:
-    def test_timeout_sequence(self):
-        engine = Engine()
-        times = []
-
-        def proc():
-            times.append(engine.now)
-            yield Timeout(2.0)
-            times.append(engine.now)
-            yield Timeout(3.0)
-            times.append(engine.now)
-
-        engine.process(proc())
-        engine.run()
-        assert times == [0.0, 2.0, 5.0]
-
-    def test_process_result_captured(self):
-        engine = Engine()
-
-        def proc():
-            yield Timeout(1.0)
-            return 42
-
-        handle = engine.process(proc())
-        engine.run()
-        assert handle.finished
-        assert handle.result == 42
-
-    def test_interrupt_stops_process(self):
-        engine = Engine()
-        log = []
-
-        def proc():
-            while True:
-                yield Timeout(1.0)
-                log.append(engine.now)
-
-        handle = engine.process(proc())
-        engine.schedule(3.5, handle.interrupt)
-        engine.run(until=10.0)
-        assert log == [1.0, 2.0, 3.0]
-
-    def test_unsupported_yield_raises(self):
-        engine = Engine()
-
-        def proc():
-            yield "nonsense"
-
-        engine.process(proc())
-        with pytest.raises(SimulationError):
-            engine.run()
-
-    def test_negative_timeout_rejected(self):
-        with pytest.raises(SimulationError):
-            Timeout(-1.0)

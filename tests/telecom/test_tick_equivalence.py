@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.telecom import Component, Tier
+from repro.telecom import Component, SCPConfig, Tier
+from repro.telecom.workload import ServiceType, WorkloadConfig
 from repro.telecom.dataset import DatasetConfig, prepare_simulation
 
 from . import tick_reference
@@ -64,9 +65,9 @@ def _renumber_faults(records: list) -> list:
     ]
 
 
-def _simulate() -> dict:
-    run = prepare_simulation(DatasetConfig(seed=11, horizon=HORIZON))
-    _script(run)
+def _simulate(config: DatasetConfig | None = None, script=_script) -> dict:
+    run = prepare_simulation(config or DatasetConfig(seed=11, horizon=HORIZON))
+    script(run)
     dataset = run.run()
     system, store = run.system, dataset.store
     return {
@@ -135,6 +136,48 @@ class TestTickEquivalence:
         ):
             assert current[key] == reference[key], key
         assert current["ticks_run"] == int(HORIZON / 5.0) + 1
+
+
+@pytest.mark.parametrize(
+    "mix",
+    [
+        {ServiceType.GPRS: 0.6, ServiceType.SMS: 0.4},
+        {ServiceType.MOC: 1.0},
+    ],
+    ids=["two-services-reordered", "one-service"],
+)
+def test_any_service_mix_matches_the_reference(mix):
+    """The tick splits arrivals over whatever services the mix names."""
+    scp = SCPConfig(container_capacity=2, workload=WorkloadConfig(mix=mix))
+    config = DatasetConfig(seed=5, horizon=HORIZON, scp=scp)
+    with pytest.MonkeyPatch.context() as patch:
+        tick_reference.install(patch)
+        reference = _simulate(config)
+    current = _simulate(config)
+    assert reference["rejected_requests"] > 0
+    for key in ("windows", "failures", "errors", "series", "ticks_run", "last"):
+        assert current[key] == reference[key], key
+
+
+def _direct_restarts(run) -> None:
+    """Restarts begun on the components themselves, not through the system."""
+    engine, system = run.engine, run.system
+    container, database = system.containers[1], system.database
+    engine.schedule_at(1_800.0, lambda: container.begin_restart(engine.now, 120.0))
+    engine.schedule_at(2_400.0, lambda: database.begin_restart(engine.now, 60.0))
+
+
+def test_a_restart_begun_on_a_component_is_seen_by_the_tick():
+    """The tick skips its restart scan while nothing restarts; a restart
+    begun directly through ``Component.begin_restart`` still ends it."""
+    config = DatasetConfig(seed=11, horizon=HORIZON)
+    with pytest.MonkeyPatch.context() as patch:
+        tick_reference.install(patch)
+        reference = _simulate(config, _direct_restarts)
+    current = _simulate(config, _direct_restarts)
+    assert [c[3] for c in reference["components"]] == [0, 0, 0, 0, 1, 0, 0, 1]
+    for key in ("windows", "failures", "errors", "series", "components", "last"):
+        assert current[key] == reference[key], key
 
 
 def _component(cls, state) -> Component:

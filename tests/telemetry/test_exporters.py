@@ -1,7 +1,6 @@
 """Exporter golden-file tests: JSONL trace, Prometheus text, run summary."""
 
 from repro.simulator import Engine
-from repro.simulator.events import Timeout
 from repro.telemetry import (
     TelemetryHub,
     export_jsonl,
@@ -19,17 +18,23 @@ def _sample_hub() -> TelemetryHub:
     hub = TelemetryHub()
     hub.bind_clock(lambda: engine.now)
 
-    def proc():
-        for i in range(2):
-            with hub.span("cycle", iteration=i):
-                hub.counter("cycles_total").inc()
-                yield Timeout(30.0)
+    def cycle(i: int) -> None:
+        span = hub.span("cycle", iteration=i)
+        span.__enter__()
+        hub.counter("cycles_total").inc()
+        engine.schedule(30.0, lambda: end_cycle(span, i))
+
+    def end_cycle(span, i: int) -> None:
+        span.__exit__(None, None, None)
+        if i + 1 < 2:
+            cycle(i + 1)
+            return
         hub.emit("run.end", cycles=2)
         hub.gauge("depth").set(1.5)
         hub.histogram("latency").observe(0.0)
         hub.histogram("latency").observe(1.0)
 
-    engine.process(proc())
+    engine.schedule(0.0, lambda: cycle(0))
     engine.run()
     return hub
 

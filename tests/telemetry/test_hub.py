@@ -4,7 +4,6 @@ the no-op guarantees of the disabled hub."""
 import pytest
 
 from repro.simulator import Engine
-from repro.simulator.events import Timeout
 from repro.telemetry import MemorySink, TelemetryHub
 from repro.telemetry.hub import NULL_HUB
 from repro.telemetry.sinks import NULL_SINK
@@ -17,12 +16,8 @@ class TestEventBus:
         hub = TelemetryHub()
         hub.bind_clock(lambda: engine.now)
 
-        def proc():
-            hub.emit("tick", n=1)
-            yield Timeout(60.0)
-            hub.emit("tick", n=2)
-
-        engine.process(proc())
+        engine.schedule(0.0, lambda: hub.emit("tick", n=1))
+        engine.schedule(60.0, lambda: hub.emit("tick", n=2))
         engine.run()
         assert [e.time for e in hub.events] == [0.0, 60.0]
         assert hub.events[1].fields == {"n": 2}
@@ -53,14 +48,20 @@ class TestSpanNesting:
         hub = TelemetryHub()
         hub.bind_clock(lambda: engine.now)
 
-        def proc():
-            with hub.span("cycle") as cycle:
-                with hub.span("step") as step:
-                    yield Timeout(30.0)
-                assert step.parent_id == cycle.span_id
-                yield Timeout(15.0)
+        cycle_span = hub.span("cycle")
+        step_span = hub.span("step")
 
-        engine.process(proc())
+        def open_spans() -> None:
+            cycle = cycle_span.__enter__()
+            step = step_span.__enter__()
+            engine.schedule(30.0, lambda: close_step(cycle, step))
+
+        def close_step(cycle, step) -> None:
+            step_span.__exit__(None, None, None)
+            assert step.parent_id == cycle.span_id
+            engine.schedule(15.0, lambda: cycle_span.__exit__(None, None, None))
+
+        engine.schedule(0.0, open_spans)
         engine.run()
         cycle = hub.spans_named("cycle")[0]
         step = hub.spans_named("step")[0]
