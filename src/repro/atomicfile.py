@@ -1,13 +1,13 @@
 """Atomic file publication: the one temp-file + ``os.replace`` writer.
 
-The lint cache, the fleet's artifact store and the trace sidecars all
-publish files that another process may open at any moment.
-:func:`write_atomic` writes the bytes to a temp file next to the target,
-fsyncs it and renames it over the target, so a reader sees either the
-old file or the complete new one, never a torn write.  The temp name
-ends in ``.tmp``, which no reader matches (they match ``*.json``,
-``*.jsonl`` and ``*.pkl``), and it is removed on any failure; only a
-process killed mid-write leaves one behind.
+The fleet's artifact store and the trace sidecars publish files that
+another process may open at any moment.  :func:`write_atomic` writes the
+bytes to a temp file next to the target, fsyncs it and renames it over
+the target, so a reader sees either the old file or the complete new
+one, never a torn write.  The temp name ends in ``.tmp``, which no
+reader matches (they match ``*.json``, ``*.jsonl`` and ``*.pkl``), and
+it is removed on any failure; only a process killed mid-write leaves
+one behind.
 """
 
 from __future__ import annotations

@@ -642,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "lint_args",
         nargs=argparse.REMAINDER,
-        help="pfmlint arguments (paths, --json, --baseline, ...)",
+        help="pfmlint arguments (paths, --format, --baseline, ...)",
     )
     lint.set_defaults(func=_cmd_lint)
     return parser
@@ -652,7 +652,7 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    # argparse.REMAINDER does not capture leading options ("lint --json"),
+    # argparse.REMAINDER does not capture leading options ("lint --format"),
     # so the lint passthrough is dispatched before the main parser runs.
     if argv and argv[0] == "lint":
         from repro.devtools.lint.cli import main as lint_main

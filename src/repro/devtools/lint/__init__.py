@@ -31,9 +31,8 @@ PFM013    unpicklable values flowing into process-pool seams through
           intermediate assignments
 ========  ==========================================================
 
-Runs are incremental (content-addressed per-file cache) and can fan the
-per-file phase out over worker processes (``--jobs``) with findings
-byte-identical to a serial run.  Run it with ``python -m
+Every run analyzes every file it is given, serially and in sorted path
+order, and writes no file it was not asked for.  Run it with ``python -m
 repro.devtools.lint src`` (or ``repro.cli lint``); see
 ``docs/static-analysis.md`` for the rule catalogue, layer-contract
 format, suppression syntax and baseline workflow.
@@ -45,15 +44,8 @@ from repro.devtools.lint.baseline import (
     split_baselined,
     write_baseline,
 )
-from repro.devtools.lint.cache import (
-    DEFAULT_CACHE_DIR,
-    LintCache,
-    engine_signature,
-    source_digest,
-)
 from repro.devtools.lint.engine import (
     LintResult,
-    git_changed_files,
     lint_paths,
     lint_source,
     parse_suppressions,
@@ -66,7 +58,6 @@ from repro.devtools.lint.layers import (
     load_layers,
 )
 from repro.devtools.lint.project import (
-    ANALYZER_VERSION,
     ProjectModel,
     build_module_summary,
     build_project_model,
@@ -77,14 +68,11 @@ from repro.devtools.lint.reporters import json_report, sarif_report, text_report
 from repro.devtools.lint.rules import REGISTRY, Rule, all_rules, register
 
 __all__ = [
-    "ANALYZER_VERSION",
     "DEFAULT_BASELINE",
-    "DEFAULT_CACHE_DIR",
     "DEFAULT_LAYERS_FILE",
     "Finding",
     "LayerConfig",
     "LayerConfigError",
-    "LintCache",
     "LintResult",
     "ModuleContext",
     "ProjectModel",
@@ -94,8 +82,6 @@ __all__ = [
     "all_rules",
     "build_module_summary",
     "build_project_model",
-    "engine_signature",
-    "git_changed_files",
     "json_report",
     "lint_paths",
     "lint_source",
@@ -105,7 +91,6 @@ __all__ = [
     "parse_suppressions",
     "register",
     "sarif_report",
-    "source_digest",
     "split_baselined",
     "text_report",
     "write_baseline",

@@ -1,9 +1,9 @@
 """pfmlint command line: ``python -m repro.devtools.lint [paths ...]``.
 
 Exit codes are stable API: 0 clean (or everything baselined), 1 new
-findings, 2 usage error (argparse) or configuration error (bad layer
-file, unknown rule id).  ``repro.cli lint`` is a thin alias of this
-entry point.
+findings, 2 usage error (argparse, a path that does not exist) or
+configuration error (bad layer file, unknown rule id).  ``repro.cli
+lint`` is a thin alias of this entry point.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.devtools.lint.baseline import (
     split_baselined,
     write_baseline,
 )
-from repro.devtools.lint.cache import DEFAULT_CACHE_DIR
 from repro.devtools.lint.engine import lint_paths
 from repro.devtools.lint.layers import LayerConfigError
 from repro.devtools.lint.reporters import (
@@ -65,18 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select",
         default=None,
-        help="comma-separated rule ids to run (default: all)",
+        help="comma-separated rule ids to run (default: all); a selection "
+        "of per-file rules only (PFM001-PFM009) skips the project phase",
     )
     parser.add_argument(
         "--format",
         choices=("text", "json", "sarif"),
         default="text",
         help="stdout report format (default: text)",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="shorthand for --format json (kept for compatibility)",
     )
     parser.add_argument(
         "--output", default=None, help="also write the JSON report to this file"
@@ -88,46 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write a SARIF 2.1.0 report to this file",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="analyze files in N worker processes (default: 1, serial; "
-        "findings are byte-identical either way)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"analysis cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the content-addressed analysis cache",
-    )
-    parser.add_argument(
-        "--no-project",
-        action="store_true",
-        help="skip the inter-procedural project phase (PFM010+)",
-    )
-    parser.add_argument(
         "--layers",
         default=None,
         metavar="FILE",
         help="layer contract file for PFM010 (default: pfmlint-layers.json "
         "in the working directory, else the built-in contract)",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="report findings only for git-changed files (full analysis "
-        "still runs so project rules see the whole graph)",
-    )
-    parser.add_argument(
-        "--changed-base",
-        default=None,
-        metavar="REF",
-        help="with --changed-only, also diff against this ref "
-        "(merge-base semantics, e.g. origin/main)",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalogue"
@@ -157,17 +117,8 @@ def main(argv: list[str] | None = None) -> int:
 
     rules = _selected_rules(args.select, parser)
     try:
-        result = lint_paths(
-            list(args.paths),
-            rules,
-            jobs=max(args.jobs, 1),
-            cache_dir=None if args.no_cache else args.cache_dir,
-            project=not args.no_project,
-            layers=args.layers,
-            changed_only=args.changed_only,
-            changed_base=args.changed_base,
-        )
-    except LayerConfigError as exc:
+        result = lint_paths(list(args.paths), rules, layers=args.layers)
+    except (FileNotFoundError, LayerConfigError) as exc:
         print(f"pfmlint: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -191,20 +142,14 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.sarif, "w", encoding="utf-8") as handle:
             handle.write(sarif_report(new, baselined) + "\n")
 
-    fmt = "json" if args.json else args.format
-    if fmt == "json":
+    if args.format == "json":
         print(report)
-    elif fmt == "sarif":
+    elif args.format == "sarif":
         print(sarif_report(new, baselined))
     else:
         print(
             text_report(new, baselined, result.files_checked, result.suppressed)
         )
-        if result.changed_files is not None:
-            print(
-                f"pfmlint: --changed-only limited the report to "
-                f"{result.changed_files} changed file(s)"
-            )
     return EXIT_FINDINGS if new else EXIT_CLEAN
 
 

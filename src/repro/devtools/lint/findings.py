@@ -59,18 +59,44 @@ class Finding:
         }
 
 
+#: Node types that open a function scope.
+FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
 @dataclass
 class ModuleContext:
-    """Everything a rule needs to analyse one module."""
+    """Everything a rule needs to analyse one module.
+
+    The tree is walked once, here.  :attr:`nodes` lists every node in
+    :func:`ast.walk` order (breadth first, the module first), and
+    :attr:`scoped_nodes` pairs each with its enclosing function
+    definitions, outermost first (empty at module and class level).  The
+    rules and :func:`~repro.devtools.lint.project.build_module_summary`
+    iterate these lists instead of walking the tree again.
+    """
 
     path: str
     source: str
     tree: ast.Module
     lines: list[str] = field(default_factory=list)
+    nodes: list[ast.AST] = field(init=False, repr=False)
+    scoped_nodes: list[tuple[ast.AST, tuple[ast.AST, ...]]] = field(
+        init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.lines:
             self.lines = self.source.splitlines()
+        # The list is its own FIFO queue: the loop reaches each appended
+        # child in turn, which is exactly ast.walk's order.
+        scoped: list[tuple[ast.AST, tuple[ast.AST, ...]]] = [(self.tree, ())]
+        for node, functions in scoped:
+            if isinstance(node, FUNCTION_DEFS):
+                functions = (*functions, node)
+            for child in ast.iter_child_nodes(node):
+                scoped.append((child, functions))
+        self.scoped_nodes = scoped
+        self.nodes = [node for node, _functions in scoped]
 
     def snippet(self, node: ast.AST) -> str:
         """The stripped source line a node starts on (best effort)."""

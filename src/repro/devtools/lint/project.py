@@ -8,14 +8,11 @@ as wall-clock-coupled as a direct call, but no single file shows it.
 
 This module closes that gap in two stages:
 
-1. :func:`build_module_summary` extracts a compact, JSON-serializable
-   **summary** of one module -- its imports (with top-level/lazy
-   distinction), name bindings, classes and bases, and per-function
-   facts (direct calls, wall-clock and unseeded-RNG sources, values
-   that cannot cross a pickle boundary).  Summaries are pure data, so
-   the content-addressed cache (:mod:`repro.devtools.lint.cache`)
-   stores them alongside per-file findings and a warm run never
-   re-parses an unchanged file.
+1. :func:`build_module_summary` extracts a compact **summary** of one
+   module -- its imports (with top-level/lazy distinction), name
+   bindings, classes and bases, and per-function facts (direct calls,
+   wall-clock and unseeded-RNG sources, values that cannot cross a
+   pickle boundary).  Summaries are plain dicts and lists.
 2. :class:`ProjectModel` assembles all summaries into an **import
    graph** and a conservative **call graph**, and offers the
    reachability queries the PFM010--PFM013 rules are written against.
@@ -42,11 +39,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from repro.devtools.lint.findings import ModuleContext
 from repro.devtools.lint.rules import dotted_name
-
-#: Bumped whenever the summary schema or extraction logic changes, so
-#: cached entries from older analyzers can never be mistaken for fresh.
-ANALYZER_VERSION = 4
 
 #: Wall-clock call names (mirrors PFM002, shared by PFM011).
 WALL_CALLS = frozenset(
@@ -164,7 +158,7 @@ def module_name_for_path(file_path) -> str | None:
 
 
 # ----------------------------------------------------------------------
-# Per-module summary extraction (phase 1, cacheable)
+# Per-module summary extraction (phase 1)
 # ----------------------------------------------------------------------
 
 
@@ -213,13 +207,13 @@ class _FunctionFacts:
 
 
 def build_module_summary(
-    tree: ast.Module,
+    module_ctx: ModuleContext,
     module: str | None,
-    path: str,
     suppressions: dict[int, set[str]] | None = None,
 ) -> dict:
-    """Extract the JSON-serializable semantic summary of one module.
+    """Extract the semantic summary of one module.
 
+    ``module`` is its dotted name (None outside a package).
     ``suppressions`` (line -> suppressed rule ids, from
     :func:`repro.devtools.lint.engine.parse_suppressions`) sanctions
     impure *sources*: a wall-clock call on a line carrying a PFM002 or
@@ -228,6 +222,7 @@ def build_module_summary(
     for RNG sources with PFM001/PFM012.
     """
     suppressions = suppressions or {}
+    path = module_ctx.path
     is_package = path.replace("\\", "/").endswith("__init__.py")
 
     def sanctioned(lineno: int, rules: tuple[str, ...]) -> bool:
@@ -241,15 +236,8 @@ def build_module_summary(
     # Imports inside function bodies are lazy (cycle-breaking idiom):
     # recorded with toplevel=False so the layer check ignores them while
     # call resolution still sees the bindings they create.
-    lazy_import_ids: set[int] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for sub in ast.walk(node):
-                if isinstance(sub, (ast.Import, ast.ImportFrom)):
-                    lazy_import_ids.add(id(sub))
-
-    for node in ast.walk(tree):
-        toplevel = id(node) not in lazy_import_ids
+    for node, functions in module_ctx.scoped_nodes:
+        toplevel = not functions
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name == "random" or alias.name.startswith("random."):
@@ -364,7 +352,7 @@ def build_module_summary(
     module_facts = _FunctionFacts(lineno=1)
     module_locals: set[str] = set()
     module_nested: set[str] = set()
-    for stmt in tree.body:
+    for stmt in module_ctx.tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             facts = _FunctionFacts(lineno=stmt.lineno)
             collect_body(facts, stmt.body, set(), set())

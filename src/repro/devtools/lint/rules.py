@@ -15,7 +15,7 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterable, Iterator
 
-from repro.devtools.lint.findings import Finding, ModuleContext
+from repro.devtools.lint.findings import FUNCTION_DEFS, Finding, ModuleContext
 
 #: Rule id -> rule class, in registration (= id) order.
 REGISTRY: dict[str, type["Rule"]] = {}
@@ -44,11 +44,9 @@ class Rule:
 
     :attr:`version` is the rule's *semantic* version: bump it whenever
     the rule tightens (new patterns caught, scope widened).  The version
-    participates in finding fingerprints and in the analysis-cache
-    engine signature, so a bump atomically invalidates both the rule's
-    baseline entries and every cached per-file result -- a stale
-    ``pfmlint-baseline.json`` entry can never mask a finding the
-    stricter rule would now report.
+    participates in finding fingerprints, so a bump invalidates the
+    rule's baseline entries -- a stale ``pfmlint-baseline.json`` entry
+    can never mask a finding the stricter rule would now report.
     """
 
     id: str = ""
@@ -96,22 +94,6 @@ def _is_default_rng_call(node: ast.AST) -> bool:
     return args_ok and not node.keywords
 
 
-def _walk_with_function_stack(
-    tree: ast.Module,
-) -> Iterator[tuple[ast.AST, tuple[str, ...]]]:
-    """Yield ``(node, enclosing_function_names)`` pairs, outermost first."""
-
-    def visit(node: ast.AST, stack: tuple[str, ...]) -> Iterator:
-        for child in ast.iter_child_nodes(node):
-            yield child, stack
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from visit(child, stack + (child.name,))
-            else:
-                yield from visit(child, stack)
-
-    yield from visit(tree, ())
-
-
 # ----------------------------------------------------------------------
 # PFM001 -- RNG discipline
 # ----------------------------------------------------------------------
@@ -156,7 +138,7 @@ class LegacyRandomRule(Rule):
             and any(alias.name == "random" for alias in node.names)
             for node in module.tree.body
         )
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Call):
                 name = dotted_name(node.func)
                 if name is not None:
@@ -197,7 +179,7 @@ class LegacyRandomRule(Rule):
                             "hard-coded default_rng fallback; require an "
                             "explicit rng or use repro.rng.ensure_rng",
                         )
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, FUNCTION_DEFS):
                 defaults = list(node.args.defaults) + [
                     d for d in node.args.kw_defaults if d is not None
                 ]
@@ -254,7 +236,7 @@ class WallClockRule(Rule):
         path = module.path.replace("\\", "/")
         if not any(scope in path for scope in self.SCOPES):
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)
@@ -297,7 +279,7 @@ class FloatEqualityRule(Rule):
     title = "float literal equality"
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Compare):
                 continue
             operands = [node.left, *node.comparators]
@@ -360,7 +342,7 @@ class UnorderedIterationRule(Rule):
                 "sorted(...) so downstream output stays deterministic",
             )
 
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.For) and self._is_set_expr(node.iter):
                 yield flag(node.iter)
             if isinstance(
@@ -410,8 +392,8 @@ class MutableDefaultRule(Rule):
     )
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        for node in module.nodes:
+            if not isinstance(node, FUNCTION_DEFS):
                 continue
             defaults = list(node.args.defaults) + [
                 d for d in node.args.kw_defaults if d is not None
@@ -458,14 +440,6 @@ class UnpicklableCallableRule(Rule):
     #: Keyword arguments documented to stay in the parent process.
     PARENT_SIDE_KWARGS = frozenset({"progress"})
 
-    @staticmethod
-    def _nested_function_names(tree: ast.Module) -> set[str]:
-        nested: set[str] = set()
-        for node, stack in _walk_with_function_stack(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and stack:
-                nested.add(node.name)
-        return nested
-
     @classmethod
     def _is_pool_sink(cls, call: ast.Call) -> bool:
         name = dotted_name(call.func)
@@ -482,8 +456,12 @@ class UnpicklableCallableRule(Rule):
         return False
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        nested = self._nested_function_names(module.tree)
-        for node in ast.walk(module.tree):
+        nested = {
+            node.name
+            for node, functions in module.scoped_nodes
+            if functions and isinstance(node, FUNCTION_DEFS)
+        }
+        for node in module.nodes:
             if not (isinstance(node, ast.Call) and self._is_pool_sink(node)):
                 continue
             name = dotted_name(node.func) or ""
@@ -545,9 +523,9 @@ class FrozenSpecMutationRule(Rule):
     KNOWN_FROZEN = frozenset({"RunSpec"})
 
     @staticmethod
-    def _frozen_dataclasses(tree: ast.Module) -> set[str]:
+    def _frozen_dataclasses(nodes: list[ast.AST]) -> set[str]:
         frozen: set[str] = set()
-        for node in ast.walk(tree):
+        for node in nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
             for decorator in node.decorator_list:
@@ -564,12 +542,17 @@ class FrozenSpecMutationRule(Rule):
         return frozen
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        frozen_types = self.KNOWN_FROZEN | self._frozen_dataclasses(module.tree)
+        frozen_types = self.KNOWN_FROZEN | self._frozen_dataclasses(module.nodes)
+        # Per enclosing function: names bound from FrozenType(...) so far.
+        # A function's nodes keep ast.walk order within the module's list,
+        # so each function sees its own statements as a walk of it would.
+        frozen_names: dict[ast.AST, set[str]] = {}
 
-        for node, stack in _walk_with_function_stack(module.tree):
+        for node, functions in module.scoped_nodes:
             if isinstance(node, ast.Call):
                 if dotted_name(node.func) == "object.__setattr__" and (
-                    not stack or stack[-1] not in self.CONSTRUCTOR_METHODS
+                    not functions
+                    or functions[-1].name not in self.CONSTRUCTOR_METHODS
                 ):
                     yield module.finding(
                         self.id,
@@ -577,35 +560,30 @@ class FrozenSpecMutationRule(Rule):
                         "object.__setattr__ outside a constructor bypasses "
                         "the frozen contract; use dataclasses.replace",
                     )
-
-        # Per-function: names bound from FrozenType(...) then written to.
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            frozen_names: set[str] = set()
-            for stmt in ast.walk(node):
-                if isinstance(stmt, ast.Assign) and isinstance(
-                    stmt.value, ast.Call
-                ):
-                    callee = dotted_name(stmt.value.func)
-                    if callee and callee.split(".")[-1] in frozen_types:
-                        for target in stmt.targets:
-                            if isinstance(target, ast.Name):
-                                frozen_names.add(target.id)
-                targets: list[ast.AST] = []
-                if isinstance(stmt, ast.Assign):
-                    targets = list(stmt.targets)
-                elif isinstance(stmt, ast.AugAssign):
-                    targets = [stmt.target]
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AugAssign):
+                targets = [node.target]
+            else:
+                continue
+            bound: list[str] = []
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                callee = dotted_name(node.value.func)
+                if callee and callee.split(".")[-1] in frozen_types:
+                    bound = [t.id for t in targets if isinstance(t, ast.Name)]
+            for function in functions:
+                names = frozen_names.setdefault(function, set())
+                names.update(bound)
                 for target in targets:
                     if (
                         isinstance(target, ast.Attribute)
                         and isinstance(target.value, ast.Name)
-                        and target.value.id in frozen_names
+                        and target.value.id in names
                     ):
                         yield module.finding(
                             self.id,
-                            stmt,
+                            node,
                             f"assignment to field of frozen spec "
                             f"'{target.value.id}'; use .replace(...)",
                         )
@@ -774,7 +752,7 @@ class SwallowedExceptionRule(Rule):
         return False
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if not self._is_broad(node):

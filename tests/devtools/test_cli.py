@@ -1,9 +1,11 @@
 """pfmlint CLI exit codes, report formats, and the repro.cli alias."""
 
 import json
+import os
 
 from repro import cli as repro_cli
 from repro.devtools.lint.cli import main as lint_main
+from repro.devtools.lint.engine import lint_paths
 
 
 def write_module(tmp_path, name, source):
@@ -32,6 +34,30 @@ class TestExitCodes:
             lint_main([clean, "--select", "PFM999"])
         assert excinfo.value.code == 2
 
+    def test_missing_path_is_usage_error(self, tmp_path, capsys):
+        clean = write_module(tmp_path, "clean.py", "x = 1\n")
+        missing = str(tmp_path / "no_such_dir")
+        assert lint_main([missing, "--no-baseline"]) == 2
+        # One missing path fails the run even next to one that exists.
+        assert lint_main([clean, missing, "--no-baseline"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count(missing) == 2
+
+
+class TestNoStrayFiles:
+    def test_a_run_writes_nothing_it_was_not_asked_to(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        dirty = write_module(tmp_path, "dirty.py", "bad = x != 0.5\n")
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert lint_main([dirty, "--no-baseline"]) == 1
+        assert lint_paths([dirty]).files_checked == 1
+        assert os.listdir(cwd) == []
+        assert sorted(os.listdir(tmp_path)) == ["cwd", "dirty.py"]
+
 
 class TestBaselineFlow:
     def test_write_baseline_then_gate_passes(self, tmp_path, capsys):
@@ -56,7 +82,7 @@ class TestBaselineFlow:
 class TestReports:
     def test_json_report_shape(self, tmp_path, capsys):
         dirty = write_module(tmp_path, "dirty.py", "bad = x != 0.5\n")
-        assert lint_main([dirty, "--no-baseline", "--json"]) == 1
+        assert lint_main([dirty, "--no-baseline", "--format", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["tool"] == "pfmlint"
         assert doc["summary"]["new_findings"] == 1
@@ -89,13 +115,13 @@ class TestReports:
 
 
 class TestFormats:
-    def test_format_json_matches_json_flag(self, tmp_path, capsys):
+    def test_format_json_matches_output_file(self, tmp_path, capsys):
         dirty = write_module(tmp_path, "dirty.py", "bad = x != 0.5\n")
-        lint_main([dirty, "--no-baseline", "--json"])
-        legacy = capsys.readouterr().out
-        lint_main([dirty, "--no-baseline", "--format", "json"])
-        modern = capsys.readouterr().out
-        assert legacy == modern
+        out = tmp_path / "report.json"
+        lint_main(
+            [dirty, "--no-baseline", "--format", "json", "--output", str(out)]
+        )
+        assert capsys.readouterr().out == out.read_text()
 
     def test_sarif_stdout_is_valid_sarif(self, tmp_path, capsys):
         dirty = write_module(tmp_path, "dirty.py", "bad = x != 0.5\n")
@@ -127,14 +153,14 @@ class TestFormats:
         dirty = write_module(
             tmp_path, "dirty.py", "a = x != 0.5\nb = y != 1.5\n"
         )
-        lint_main([dirty, "--no-baseline", "--format", "sarif", "--no-cache"])
+        lint_main([dirty, "--no-baseline", "--format", "sarif"])
         first = capsys.readouterr().out
-        lint_main([dirty, "--no-baseline", "--format", "sarif", "--no-cache"])
+        lint_main([dirty, "--no-baseline", "--format", "sarif"])
         assert capsys.readouterr().out == first
 
     def test_rules_section_carries_versions(self, tmp_path, capsys):
         dirty = write_module(tmp_path, "dirty.py", "bad = x != 0.5\n")
-        lint_main([dirty, "--no-baseline", "--json"])
+        lint_main([dirty, "--no-baseline", "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
         assert doc["rules"]["PFM003"]["version"] >= 1
         assert doc["rules"]["PFM010"]["project"] is True
@@ -143,17 +169,9 @@ class TestFormats:
 
 
 class TestEngineFlags:
-    def test_jobs_and_cache_flags(self, tmp_path, capsys):
-        dirty = write_module(tmp_path, "dirty.py", "bad = x != 0.5\n")
-        cache = str(tmp_path / "cache")
-        args = [dirty, "--no-baseline", "--cache-dir", cache, "--jobs", "2"]
-        assert lint_main(args) == 1
-        first = capsys.readouterr().out
-        assert lint_main(args) == 1
-        assert capsys.readouterr().out == first
-
     def test_no_project_skips_project_rules(self, tmp_path, capsys):
-        # A layer violation is only visible to the project phase.
+        # A layer violation is only visible to the project phase, which a
+        # selection of per-file rules does not run.
         pkg = tmp_path / "repro" / "telemetry"
         pkg.mkdir(parents=True)
         (tmp_path / "repro" / "__init__.py").write_text("")
@@ -164,11 +182,11 @@ class TestEngineFlags:
         (core / "__init__.py").write_text("")
         (core / "engine.py").write_text("x = 1\n")
         root = str(tmp_path / "repro")
-        assert lint_main([root, "--no-baseline", "--no-cache"]) == 1
+        assert lint_main([root, "--no-baseline"]) == 1
         assert "PFM010" in capsys.readouterr().out
-        assert lint_main(
-            [root, "--no-baseline", "--no-cache", "--no-project"]
-        ) == 0
+        file_rules = ",".join(f"PFM00{i}" for i in range(1, 10))
+        assert lint_main([root, "--no-baseline", "--select", file_rules]) == 0
+        assert "0 finding(s) in 5 file(s)" in capsys.readouterr().out
 
     def test_bad_layers_file_is_usage_error(self, tmp_path, capsys):
         clean = write_module(tmp_path, "clean.py", "x = 1\n")

@@ -1,5 +1,9 @@
 """Engine behaviour: suppressions, parse errors, discovery, fingerprints."""
 
+import ast
+import json
+import textwrap
+
 from repro.devtools.lint.engine import (
     PARSE_ERROR_RULE,
     iter_python_files,
@@ -7,7 +11,23 @@ from repro.devtools.lint.engine import (
     lint_source,
     parse_suppressions,
 )
-from repro.devtools.lint.findings import Finding
+from repro.devtools.lint.findings import Finding, ModuleContext
+from repro.devtools.lint.reporters import json_report
+
+#: A project with findings scattered over enough files that an unsorted
+#: merge would visibly scramble the report.
+SCATTERED = {
+    f"repro/pkg{i}/mod{j}.py": (
+        "bad = value != 0.5\n"
+        if (i + j) % 2
+        else "import time\n\n\ndef f():\n    return time.time()\n"
+    )
+    for i in range(3)
+    for j in range(4)
+}
+SCATTERED["repro/telemetry/taint.py"] = (
+    "from repro.pkg0.mod0 import f\n\n\ndef span():\n    return f()\n"
+)
 
 
 class TestSuppressions:
@@ -69,6 +89,57 @@ class TestDiscovery:
         result = lint_paths([str(tmp_path)])
         assert result.files_checked == 2
         assert [f.rule for f in result.findings] == ["PFM003"]
+
+    def test_report_is_deterministic_json(self, make_project):
+        root = make_project(SCATTERED)
+        result = lint_paths([root])
+        report = json_report(result.findings, [], result.files_checked,
+                             result.suppressed)
+        doc = json.loads(report)
+        paths = [f["path"] for f in doc["findings"]]
+        assert len(set(paths)) > 1
+        assert paths == sorted(paths)
+
+
+class TestModuleContext:
+    def test_one_walk_in_ast_walk_order_with_enclosing_functions(self):
+        source = textwrap.dedent(
+            """
+            import os
+
+
+            class Box:
+                def method(self):
+                    def inner():
+                        import json
+                    return inner
+
+
+            async def task():
+                x = 1
+            """
+        )
+        tree = ast.parse(source)
+        module = ModuleContext(path="m.py", source=source, tree=tree)
+        assert module.nodes == list(ast.walk(tree))
+        assert [node for node, _ in module.scoped_nodes] == module.nodes
+        scoped = [
+            (type(node).__name__, getattr(node, "name", None),
+             [function.name for function in functions])
+            for node, functions in module.scoped_nodes
+            if isinstance(
+                node,
+                (ast.Import, ast.FunctionDef, ast.AsyncFunctionDef, ast.Assign),
+            )
+        ]
+        assert scoped == [
+            ("Import", None, []),
+            ("AsyncFunctionDef", "task", []),
+            ("FunctionDef", "method", []),
+            ("Assign", None, ["task"]),
+            ("FunctionDef", "inner", ["method"]),
+            ("Import", None, ["method", "inner"]),
+        ]
 
 
 class TestFingerprints:

@@ -3,6 +3,7 @@
 import ast
 
 from repro.devtools.lint.engine import iter_python_files, parse_suppressions
+from repro.devtools.lint.findings import ModuleContext
 from repro.devtools.lint.project import (
     build_module_summary,
     build_project_model,
@@ -19,9 +20,8 @@ def model_for(root, suppress=False):
         with open(path, encoding="utf-8") as handle:
             source = handle.read()
         suppressions = parse_suppressions(source) if suppress else {}
-        summaries.append(
-            build_module_summary(ast.parse(source), module, path, suppressions)
-        )
+        context = ModuleContext(path=path, source=source, tree=ast.parse(source))
+        summaries.append(build_module_summary(context, module, suppressions))
     return build_project_model(summaries)
 
 
@@ -280,9 +280,10 @@ class TestDeterminism:
                 continue
             with open(path, encoding="utf-8") as handle:
                 source = handle.read()
-            summaries.append(
-                build_module_summary(ast.parse(source), module, path, {})
+            context = ModuleContext(
+                path=path, source=source, tree=ast.parse(source)
             )
+            summaries.append(build_module_summary(context, module, {}))
         forward = build_project_model(summaries)
         backward = build_project_model(list(reversed(summaries)))
         assert forward.function_keys() == backward.function_keys()

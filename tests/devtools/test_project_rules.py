@@ -4,7 +4,7 @@ from repro.devtools.lint.engine import lint_paths
 
 
 def rule_findings(root, rule_id):
-    result = lint_paths([root], cache_dir=None)
+    result = lint_paths([root])
     return [f for f in result.findings if f.rule == rule_id]
 
 

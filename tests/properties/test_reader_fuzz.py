@@ -1,16 +1,15 @@
-"""Hypothesis fuzzing of the four tolerant readers.
+"""Hypothesis fuzzing of the three tolerant readers.
 
-The shard ledger, the trace-sidecar reader, the pfmlint cache and the
-artifact store each promise that damage costs work, never a crash or a
-wrong answer: a torn or corrupt record reads as a miss or a skipped
-line.  Each property writes real records, damages the bytes (truncation,
-or one byte changed anywhere) and reads them back.  The artifact store
-is fuzzed with truncation only: a changed byte inside a pickle can call
-arbitrary constructors, which no reader can make safe.
+The shard ledger, the trace-sidecar reader and the artifact store each
+promise that damage costs work, never a crash or a wrong answer: a torn
+or corrupt record reads as a miss or a skipped line.  Each property
+writes real records, damages the bytes (truncation, or one byte changed
+anywhere) and reads them back.  The artifact store is fuzzed with
+truncation only: a changed byte inside a pickle can call arbitrary
+constructors, which no reader can make safe.
 """
 
 import os
-import shutil
 import tempfile
 
 import numpy as np
@@ -18,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.devtools.lint.engine import lint_paths
 from repro.errors import ArtifactStoreWarning
 from repro.fleet.artifacts import ArtifactStore
 from repro.fleet.ledger import ShardLedger
@@ -163,55 +161,6 @@ def test_trace_reader_returns_the_records_of_the_intact_lines(damage):
         remaining = iter(records)
         assert all(doc in remaining for doc in expected)
         assert len(records) <= len(expected) + 2
-
-
-# ----------------------------------------------------------------------
-# pfmlint cache
-# ----------------------------------------------------------------------
-
-LINT_FILES = {
-    "repro/core/clock.py": "import time\n\n\ndef now():\n    return time.time()\n",
-    "repro/telemetry/spans.py": (
-        "from repro.core.clock import now\n\n\ndef stamp():\n    return now()\n"
-    ),
-    "repro/prediction/score.py": (
-        "bad = value != 0.5\nok = value != 0.25  # pfmlint: disable=PFM003 -- fixture\n"
-    ),
-}
-
-
-@pytest.fixture(scope="module")
-def lint_project(tmp_path_factory):
-    """A small tree with per-file and project findings, its uncached
-    result, and a warm cache of it."""
-    root = tmp_path_factory.mktemp("lint-project")
-    for rel, source in LINT_FILES.items():
-        path = root / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(source)
-    for package in ("repro", "repro/core", "repro/telemetry", "repro/prediction"):
-        (root / package / "__init__.py").write_text("")
-    expected = lint_paths([str(root)], cache_dir=None)
-    assert expected.findings and expected.suppressed
-    cache = root.parent / "lint-cache"
-    lint_paths([str(root)], cache_dir=str(cache))
-    return str(root), expected, str(cache)
-
-
-@settings(max_examples=60, deadline=None)
-@given(damage=DAMAGE, entry=st.integers(0, 1000))
-def test_lint_over_a_damaged_cache_matches_no_cache(lint_project, damage, entry):
-    root, expected, cache = lint_project
-    names = sorted(os.listdir(cache))
-    name = names[entry % len(names)]
-    with tempfile.TemporaryDirectory() as directory:
-        damaged = os.path.join(directory, "cache")
-        shutil.copytree(cache, damaged)
-        with open(os.path.join(cache, name), "rb") as handle:
-            _write(damaged, name, _damage(handle.read(), damage)[0])
-        result = lint_paths([root], cache_dir=damaged)
-    assert result.findings == expected.findings
-    assert result.suppressed == expected.suppressed
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,5 @@
-"""The shared atomic writer, and the three callers that publish through it."""
+"""The shared atomic writer, and the two callers that publish through it."""
 
-import hashlib
-import json
 import os
 import pickle
 from pathlib import Path
@@ -9,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from repro.atomicfile import write_atomic
-from repro.devtools.lint.cache import CACHE_VERSION, LintCache
 from repro.fleet.artifacts import ArtifactStore
 from repro.telemetry.tracing import _atomic_write_lines
 
@@ -40,10 +37,6 @@ class TestWriteAtomic:
         assert os.listdir(tmp_path) == ["entry.json"]
 
 
-def _lint_save(root):
-    LintCache(root).save("a" * 64, "sig", {"findings": []})
-
-
 def _artifact_save(root):
     ArtifactStore(root).save(("key",), {"model": [1.0]})
 
@@ -56,24 +49,16 @@ class TestFailedWritesLeaveNothing:
     """A failed write through any caller leaves the directory as it was."""
 
     @pytest.mark.parametrize(
-        "write", [_lint_save, _artifact_save, _trace_write],
-        ids=["lint-cache", "artifact-store", "trace-sidecar"],
+        "write", [_artifact_save, _trace_write],
+        ids=["artifact-store", "trace-sidecar"],
     )
     def test_failed_publish(self, tmp_path, monkeypatch, write):
         root = str(tmp_path)
         (tmp_path / "existing.json").write_text("{}")
         monkeypatch.setattr(os, "replace", _fail)
-        if write is _lint_save:
-            write(root)  # an unwritable cache only costs warmth
-        else:
-            with pytest.raises(OSError, match="disk full"):
-                write(root)
+        with pytest.raises(OSError, match="disk full"):
+            write(root)
         assert os.listdir(root) == ["existing.json"]
-
-    def test_unserializable_lint_entry(self, tmp_path):
-        with pytest.raises(TypeError):
-            LintCache(str(tmp_path)).save("a" * 64, "sig", {"bad": object()})
-        assert os.listdir(tmp_path) == []
 
     def test_unpicklable_artifact(self, tmp_path):
         with pytest.raises((pickle.PicklingError, AttributeError)):
@@ -83,16 +68,6 @@ class TestFailedWritesLeaveNothing:
 
 class TestByteLayout:
     """Each caller hands the helper the bytes it always wrote."""
-
-    def test_lint_entry_is_sorted_json(self, tmp_path):
-        cache = LintCache(str(tmp_path))
-        cache.save("a" * 64, "sig", {"findings": [], "summary": None})
-        raw = Path(cache.entry_path("a" * 64, "sig")).read_bytes()
-        body = {"cache_version": CACHE_VERSION, "findings": [], "summary": None}
-        digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode())
-        assert raw == json.dumps(
-            {**body, "digest": digest.hexdigest()}, sort_keys=True
-        ).encode("utf-8")
 
     def test_trace_lines_end_with_a_newline(self, tmp_path):
         path = Path(_atomic_write_lines(str(tmp_path / "lane.jsonl"), ["a", "b"]))
