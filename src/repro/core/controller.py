@@ -30,6 +30,7 @@ The MEA wiring is hardened by the :mod:`repro.resilience` layer:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -137,6 +138,13 @@ class PFMController:
         default_factory=list, init=False
     )
     action_outcomes: list[ActionOutcome] = field(default_factory=list, init=False)
+    #: Called once, just before the first countermeasure executes.  Until
+    #: then the controller has only read the system, so the system is in
+    #: the state a run without PFM reaches; the closed loop forks its
+    #: baseline there (:func:`~repro.core.experiment.run_closed_loop`).
+    before_first_action: Callable[[], None] | None = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.variables:
@@ -410,6 +418,9 @@ class PFMController:
             if isinstance(inner, LowerLoadAction):
                 action.set_confidence(evaluation.confidence)
                 self._throttled = True
+            if self.before_first_action is not None:
+                hook, self.before_first_action = self.before_first_action, None
+                hook()
             try:
                 outcome = action.execute(self.system, evaluation.target)
             except Exception as exc:  # broad by design - degrade, don't die

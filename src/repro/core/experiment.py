@@ -19,7 +19,8 @@ from repro.core.controller import PFMController
 from repro.fleet.spec import RunSpec
 from repro.prediction.base import SymptomPredictor, TrainingData
 from repro.prediction.registry import make_predictor
-from repro.telecom.dataset import DatasetConfig, prepare_simulation
+from repro.simulator.engine import copy_simulation
+from repro.telecom.dataset import DatasetConfig, SimulationRun, prepare_simulation
 
 #: Default monitoring variables for the online controller (system gauges).
 DEFAULT_VARIABLES = [
@@ -310,6 +311,21 @@ def run_closed_loop(
     through :func:`resolve_spec`, and its predictor trains through
     :func:`train_spec`.
 
+    The baseline is forked from the PFM run.  The two runs are the same
+    simulation until the controller first acts, because the controller
+    must change no system state before its first action: until then it
+    only reads gauges, which draw no random number and write nothing.
+    So the PFM run goes first, and just before its first
+    ``Action.execute`` a copy of the simulation
+    (:func:`~repro.simulator.engine.copy_simulation`) is taken and later
+    finished as the baseline.  The copy holds the engine (minus the
+    controller's pending housekeeping event), the random streams, the
+    system, the faultload and the injectors; it never holds the
+    controller, the predictor or the telemetry hub.  When the
+    controller never acts, the PFM run's failure log and SLA windows are
+    the baseline's.  A copy that cannot be taken raises
+    :class:`~repro.errors.SimulationError` out of this call.
+
     Pass ``trained = (fitted_predictor, training_scores)`` to skip the
     training simulation (the fleet's shared training cache does).  Pass a
     :class:`~repro.telemetry.hub.TelemetryHub` as ``telemetry`` to
@@ -320,12 +336,8 @@ def run_closed_loop(
     variables, train_config, eval_config = resolve_spec(spec)
     predictor, training_scores = trained if trained is not None else train_spec(spec)
 
-    # Baseline run: same faultload, no PFM.  The evaluation runs read only
-    # the failure log and the SLA (the controller reads its gauges itself),
-    # so neither keeps a symptom collector.
-    baseline = prepare_simulation(eval_config, monitor=()).run()
-
-    # PFM run: identical configuration and seed, controller attached.
+    # The runs read only the failure log and the SLA (the controller reads
+    # its gauges itself), so neither keeps a symptom collector.
     from repro.telemetry.hub import NULL_HUB
 
     hub = telemetry if telemetry is not None else NULL_HUB
@@ -339,6 +351,16 @@ def run_closed_loop(
         telemetry=hub,
     )
     controller.calibrate_confidence(training_scores)
+    forked: list[SimulationRun] = []
+
+    def fork_baseline() -> None:
+        forked.append(
+            copy_simulation(
+                pfm_sim, leave_out=(controller, controller.mea, predictor, hub)
+            )
+        )
+
+    controller.before_first_action = fork_baseline
     hub.emit(
         "run.start",
         train_seed=train_config.seed,
@@ -348,6 +370,7 @@ def run_closed_loop(
     controller.start()
     pfm_dataset = pfm_sim.run()
     controller.finalize_telemetry()
+    baseline = forked[0].finish() if forked else pfm_dataset
 
     actions_by_name: dict[str, int] = {}
     for episode in controller.warnings:

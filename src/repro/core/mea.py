@@ -9,7 +9,9 @@ and repeats them as a periodic simulation loop, recording every iteration.
 The cycle is hardened against its own steps: an exception in monitor,
 evaluate or act is caught into a structured :class:`StepFailure` record
 (optionally retried per a :class:`~repro.resilience.policies.RetryPolicy`)
-instead of ending the cycle.  A fully-failed iteration
+instead of ending the cycle.  A :class:`~repro.errors.SimulationError`
+is not a fault of a step but of the simulation under it, which no retry
+mends: it ends the run.  A fully-failed iteration
 delays the next one by the policy's exponential backoff -- the cycle
 slows down under sustained trouble but never dies silently.  A slow
 prediction is not the cycle's concern: the controller's
@@ -29,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.resilience.policies import RetryPolicy
 from repro.simulator.engine import Engine
 from repro.simulator.events import Wakeup
@@ -166,6 +168,8 @@ class MEACycle:
             for attempt in range(1, attempts + 1):
                 try:
                     return fn(*args), True
+                except SimulationError:
+                    raise
                 except Exception as exc:  # broad by design - the whole point
                     last_error = exc
                     if attempt < attempts:

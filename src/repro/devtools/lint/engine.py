@@ -13,9 +13,9 @@ The engine runs in two phases:
 
 1. **Per-file phase** -- parse each module, walk it once into a
    :class:`~repro.devtools.lint.findings.ModuleContext`, run the
-   per-file rules over it, and extract the
-   :mod:`~repro.devtools.lint.project` summary.  Files are analyzed in
-   sorted path order.
+   per-file rules over it, and, when the rule selection includes a
+   project rule, extract the :mod:`~repro.devtools.lint.project`
+   summary.  Files are analyzed in sorted path order.
 2. **Project phase** -- assemble every summary into a
    :class:`~repro.devtools.lint.project.ProjectModel`, attach the layer
    contract, and run the project rules (PFM010--PFM013).  It runs only
@@ -127,7 +127,8 @@ def analyze_source(
     sorted per-file findings left after inline suppressions, how many
     those suppressions consumed, the suppression map of
     :func:`parse_suppressions`, and the module summary the project phase
-    consumes (None when the source does not parse).
+    consumes (None when the source does not parse, or when ``rules``
+    holds no project rule and so no project phase runs).
     """
     suppressions = parse_suppressions(source)
     try:
@@ -150,7 +151,9 @@ def analyze_source(
             findings.append(replace(finding, rule_version=rule.version))
     findings, n_suppressed = _apply_suppressions(findings, suppressions)
     findings.sort()
-    summary = build_module_summary(module_ctx, module, suppressions)
+    summary = None
+    if project_rule_list(rules):
+        summary = build_module_summary(module_ctx, module, suppressions)
     return findings, n_suppressed, suppressions, summary
 
 

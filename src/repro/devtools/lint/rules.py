@@ -573,20 +573,21 @@ class FrozenSpecMutationRule(Rule):
                 if callee and callee.split(".")[-1] in frozen_types:
                     bound = [t.id for t in targets if isinstance(t, ast.Name)]
             for function in functions:
-                names = frozen_names.setdefault(function, set())
-                names.update(bound)
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id in names
-                    ):
-                        yield module.finding(
-                            self.id,
-                            node,
-                            f"assignment to field of frozen spec "
-                            f"'{target.value.id}'; use .replace(...)",
-                        )
+                frozen_names.setdefault(function, set()).update(bound)
+            # One finding per target, however many enclosing functions
+            # bound its name.
+            for target in targets:
+                if (
+                    isinstance(target, ast.Attribute)
+                    and isinstance(target.value, ast.Name)
+                    and any(target.value.id in frozen_names[f] for f in functions)
+                ):
+                    yield module.finding(
+                        self.id,
+                        node,
+                        f"assignment to field of frozen spec "
+                        f"'{target.value.id}'; use .replace(...)",
+                    )
 
 
 # ----------------------------------------------------------------------

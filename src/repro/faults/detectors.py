@@ -15,6 +15,8 @@ from repro.faults.model import ErrorRecord
 class TimingCheck:
     """Flags observations (response times) above a deadline."""
 
+    __slots__ = ("component", "deadline", "checks_run", "errors_found")
+
     #: Message id of the errors this check reports.
     message_id = 910
 

@@ -62,7 +62,10 @@ class FaultInjector(abc.ABC):
 
     :meth:`start` fires :meth:`_begin` at the current time; each firing
     of the degradation process schedules the next through ``_wakeup``.
+    The family is slotted, as the system it attacks is.
     """
+
+    __slots__ = ("target", "rng", "fault", "active", "_wakeup")
 
     #: Error-log message-id block used by this injector family.
     message_base: int = 0
@@ -106,6 +109,8 @@ class _PoissonInjector(FaultInjector):
     """Acts at exponential gaps of mean ``period`` while active; each gap
     is drawn when the firing before it (the first: the start) ends."""
 
+    __slots__ = ("period",)
+
     period: float
 
     def _begin(self) -> None:
@@ -125,6 +130,8 @@ class _PoissonInjector(FaultInjector):
 class MemoryLeakInjector(_PoissonInjector):
     """Leak memory at ``rate_mb`` per period; occasionally log allocation
     warnings once leakage is substantial (errors follow symptoms)."""
+
+    __slots__ = ("rate_mb", "warn_after_mb", "leaked")
 
     message_base = 100
 
@@ -162,6 +169,8 @@ class ProcessHangInjector(FaultInjector):
     before the capacity loss is large enough to breach the SLA, which is
     the window online failure prediction lives in.
     """
+
+    __slots__ = ("initial_loss", "step_loss", "max_loss", "step_period", "_applied")
 
     message_base = 200
 
@@ -212,6 +221,8 @@ class ProcessHangInjector(FaultInjector):
 class StateCorruptionInjector(_PoissonInjector):
     """Latent corruption accumulates, surfacing as error bursts."""
 
+    __slots__ = ("growth", "burst_threshold", "level")
+
     message_base = 300
 
     def __init__(
@@ -244,6 +255,8 @@ class StateCorruptionInjector(_PoissonInjector):
 
 class OverloadInjector(FaultInjector):
     """A load spike beyond provisioned capacity (e.g. traffic storm)."""
+
+    __slots__ = ("extra_load", "ramp_steps", "step_period", "_applied", "_ramped")
 
     message_base = 400
 
@@ -294,6 +307,8 @@ class IntermittentErrorInjector(_PoissonInjector):
     that are *not* symptomatic of upcoming failures, which is precisely
     what makes online failure prediction non-trivial.
     """
+
+    __slots__ = ("n_message_types",)
 
     message_base = 500
 

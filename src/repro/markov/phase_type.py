@@ -115,10 +115,14 @@ class PhaseTypeDistribution:
         return self._alpha @ scipy.linalg.expm(self._t * t)
 
     def cdf(self, t: float) -> float:
-        """``F(t) = 1 - alpha exp(tT) 1`` (Eq. 11)."""
+        """``F(t) = 1 - alpha exp(tT) 1`` (Eq. 11), kept in [0, 1].
+
+        Where ``F`` is far below one ulp (an Erlang chain shortly after
+        0), the rounding of ``exp(tT)`` alone can make it negative.
+        """
         if t < 0:
             return 0.0
-        return float(1.0 - self._expm_alpha(t).sum())
+        return min(max(float(1.0 - self._expm_alpha(t).sum()), 0.0), 1.0)
 
     def pdf(self, t: float) -> float:
         """``f(t) = alpha exp(tT) t_0`` (Eq. 12)."""

@@ -18,6 +18,8 @@ from repro.monitoring.records import EventSequence
 class ErrorLog:
     """Append-only log of detected errors, ordered by time."""
 
+    __slots__ = ("_records", "_times")
+
     def __init__(self) -> None:
         self._records: list[ErrorRecord] = []
         self._times: list[float] = []
@@ -61,6 +63,8 @@ class ErrorLog:
 
 class FailureLog:
     """Append-only log of service-level failures."""
+
+    __slots__ = ("_records", "_times")
 
     def __init__(self) -> None:
         self._records: list[FailureRecord] = []

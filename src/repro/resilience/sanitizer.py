@@ -129,7 +129,7 @@ class GaugeSanitizer:
 
         # Exact-zero sentinel: a gauge resting at literal 0.0 is a
         # legitimate idle reading, not a stuck value.
-        if state.repeats >= self.stuck_after and raw != 0.0:  # pfmlint: disable=PFM003
+        if state.repeats >= self.stuck_after and raw != 0.0:  # pfmlint: disable=PFM003 -- exact-zero sentinel
             # The value itself is the best estimate we have; flag, don't
             # substitute -- a frozen gauge's last value *is* last-known-good.
             self._count(variable, "stuck")
@@ -185,7 +185,7 @@ class GaugeSanitizer:
             elif (
                 state.last_value is not None
                 # Same exact-zero sentinel as the stuck check above.
-                and state.last_value != 0.0  # pfmlint: disable=PFM003
+                and state.last_value != 0.0  # pfmlint: disable=PFM003 -- exact-zero sentinel
                 and state.repeats >= self.stuck_after
             ):
                 stale.append(variable)

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import copyreg
 import heapq
+import io
 import math
-from typing import Callable
+import pickle
+from typing import Callable, Collection, TypeVar
 
 from repro.errors import SimulationError
 from repro.simulator.events import Event
+
+T = TypeVar("T")
 
 
 class Engine:
@@ -28,7 +33,20 @@ class Engine:
 
     :class:`~repro.simulator.events.Wakeup` keeps such a loop single when
     it can be stopped and started again.
+
+    :func:`copy_simulation` copies a simulation mid-run, engine and all,
+    when its callbacks are bound methods of picklable objects.
     """
+
+    # ``__weakref__``: perfbench's tracer keys engines by weak reference.
+    __slots__ = (
+        "_now",
+        "_queue",
+        "_seq",
+        "_running",
+        "processed_events",
+        "__weakref__",
+    )
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
@@ -133,3 +151,53 @@ class Engine:
 
     def __repr__(self) -> str:
         return f"Engine(now={self._now}, pending={len(self._queue)})"
+
+
+def copy_simulation(state: T, leave_out: Collection[object] = ()) -> T:
+    """A copy of ``state``, a simulation or part of one, by pickle round trip.
+
+    ``state`` may be copied mid-run, from inside one of its engine's
+    events: each copied engine is not running, and firing its queue
+    fires the same events in the same order as the original's.  The copy
+    shares no mutable object with ``state``.
+
+    The pending events whose callback is a method of an object in
+    ``leave_out`` are not copied, and neither is any object of those
+    objects' types: reaching one fails the copy, as does anything that
+    does not pickle (a closure, a generator).  A failed copy raises
+    :class:`SimulationError`.
+    """
+    owners = {id(owner) for owner in leave_out}
+
+    def engine_without_owners(engine: Engine):
+        queue = [
+            entry
+            for entry in engine._queue
+            if id(getattr(entry[3].callback, "__self__", None)) not in owners
+        ]
+        heapq.heapify(queue)
+        fields = {
+            "_now": engine._now,
+            "_queue": queue,
+            "_seq": engine._seq,
+            # A copy made inside a callback is not inside the original's loop.
+            "_running": False,
+            "processed_events": engine.processed_events,
+        }
+        return copyreg.__newobj__, (Engine,), (None, fields)
+
+    def refuse(obj: object):
+        raise pickle.PicklingError(f"a {type(obj).__name__} is left out")
+
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+    pickler.dispatch_table = {
+        **copyreg.dispatch_table,
+        **{type(owner): refuse for owner in leave_out},
+        Engine: engine_without_owners,
+    }
+    try:
+        pickler.dump(state)
+    except Exception as exc:  # pickle raises several types for one failure
+        raise SimulationError(f"cannot copy the simulation: {exc}") from exc
+    return pickle.loads(buffer.getvalue())

@@ -20,6 +20,18 @@ from repro.telecom.components import Component
 class NaturalAgingProcess:
     """Mild leak + periodic partial GC on one component."""
 
+    __slots__ = (
+        "component",
+        "rng",
+        "leak_rate_mb",
+        "leak_period",
+        "gc_period",
+        "gc_effectiveness",
+        "running",
+        "_leak_wakeup",
+        "_gc_wakeup",
+    )
+
     def __init__(
         self,
         component: Component,

@@ -61,6 +61,27 @@ class Component:
         error log).
     """
 
+    __slots__ = (
+        "name",
+        "tier",
+        "capacity",
+        "service_time",
+        "memory_mb",
+        "_error_sink",
+        "baseline_memory_mb",
+        "leaked_mb",
+        "degraded_fraction",
+        "corruption",
+        "background_load",
+        "utilization",
+        "last_stretch",
+        "restarting_until",
+        "on_restart",
+        "_clock",
+        "errors_emitted",
+        "restarts",
+    )
+
     def __init__(
         self,
         name: str,

@@ -290,6 +290,27 @@ class TelecomDataset:
         return failure_seqs, nonfailure_seqs
 
 
+@dataclass(slots=True)
+class _Episode:
+    """One faultload activation's two events: its injector starts at the
+    activation's start, and at its end the injector stops and ops restart
+    the target."""
+
+    engine: Engine
+    system: SCPSystem
+    injector: FaultInjector
+    target: str
+    downtime: float
+
+    def begin(self) -> None:
+        self.injector.start(self.engine)
+
+    def finish(self) -> None:
+        self.injector.stop()
+        # Ops repair after the episode: brief restart clears state.
+        self.system.restart_component(self.target, self.downtime)
+
+
 @dataclass
 class SimulationRun:
     """A prepared (but not yet executed) dataset simulation.
@@ -315,6 +336,15 @@ class SimulationRun:
             self.collector.start()
         for injector in self.noise_injectors:
             injector.start(self.engine)
+        return self.finish()
+
+    def finish(self) -> TelecomDataset:
+        """Run a started simulation on to the horizon and collect the dataset.
+
+        :meth:`run` ends here, and so does a copy of a started run
+        (:func:`~repro.simulator.engine.copy_simulation`).  Only a run
+        without a collector can be copied: gauges read through closures.
+        """
         self.engine.run(until=self.config.horizon)
         self.system.sla.flush(self.config.horizon)
         if self.collector is not None:
@@ -379,29 +409,21 @@ def prepare_simulation(
         min_gap=config.min_gap,
     )
 
-    def schedule_episode(activation) -> None:
-        target = system.component(activation.target)
+    for activation in faultload:
         injector = _make_injector(
             activation.kind,
-            target,
+            system.component(activation.target),
             streams.fresh(f"inj:{activation.kind}:{activation.start:.0f}"),
         )
-
-        def begin() -> None:
-            injector.start(engine)
-
-        def finish() -> None:
-            injector.stop()
-            # Ops repair after the episode: brief restart clears state.
-            system.restart_component(
-                activation.target, config.post_failure_repair_downtime
-            )
-
-        engine.schedule_at(activation.start, begin)
-        engine.schedule_at(activation.end, finish)
-
-    for activation in faultload:
-        schedule_episode(activation)
+        episode = _Episode(
+            engine,
+            system,
+            injector,
+            activation.target,
+            config.post_failure_repair_downtime,
+        )
+        engine.schedule_at(activation.start, episode.begin)
+        engine.schedule_at(activation.end, episode.finish)
 
     return SimulationRun(
         config=config,

@@ -58,6 +58,18 @@ class SLAChecker:
         window violates the SLA.
     """
 
+    __slots__ = (
+        "window",
+        "required_availability",
+        "deadline",
+        "on_failure",
+        "_window_start",
+        "_total",
+        "_violations",
+        "windows",
+        "failures",
+    )
+
     def __init__(
         self,
         window: float = 300.0,

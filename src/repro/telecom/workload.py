@@ -16,11 +16,15 @@ from operator import mul
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 
 DAY = 86_400.0
 WEEK = 7 * DAY
 _TWO_PI = 2.0 * math.pi
+
+#: Ticks whose arrival counts :meth:`WorkloadModel.tick_counts` draws in
+#: one Poisson call.
+BLOCK_TICKS = 128
 
 
 class ServiceType(enum.Enum):
@@ -104,12 +108,27 @@ class WorkloadModel:
     """Generates per-tick arrival counts from a :class:`WorkloadConfig`.
 
     The per-tick path works on plain lists: :meth:`arrival_counts` gives
-    one count per service type in ``config.mix`` order, and
-    :meth:`demand_of` / :meth:`protocol_counts` take such a list.  The
-    service-keyed :meth:`arrivals`, :meth:`demand` and
-    :meth:`protocol_split` are views over it; they read the services of
-    the mix, in mix order, and count an absent service as zero.
+    one count per service type in ``config.mix`` order, :meth:`tick_counts`
+    gives the same counts to a tick loop, and :meth:`demand_of` /
+    :meth:`protocol_counts` take such a list.  The service-keyed
+    :meth:`arrivals`, :meth:`demand` and :meth:`protocol_split` are views
+    over it; they read the services of the mix, in mix order, and count an
+    absent service as zero.
     """
+
+    __slots__ = (
+        "config",
+        "rng",
+        "_services",
+        "_fractions",
+        "_demands",
+        "_protocol_index",
+        "_n_protocols",
+        "_block_dt",
+        "_block_times",
+        "_block_counts",
+        "_block_pos",
+    )
 
     def __init__(self, config: WorkloadConfig, rng: np.random.Generator) -> None:
         self.config = config
@@ -121,6 +140,12 @@ class WorkloadModel:
             list(Protocol).index(SERVICE_PROTOCOL[s]) for s in self._services
         )
         self._n_protocols = len(Protocol)
+        # The block :meth:`tick_counts` serves from: its tick length, tick
+        # times and counts, and the position of the next tick in it.
+        self._block_dt = 0.0
+        self._block_times: list[float] = []
+        self._block_counts: list[list[int]] = []
+        self._block_pos = 0
 
     def rate_at(self, time: float) -> float:
         """Instantaneous total arrival rate (requests/second) at ``time``."""
@@ -137,6 +162,52 @@ class WorkloadModel:
         expected_total = self.rate_at(time + dt / 2.0) * dt
         poisson = self.rng.poisson
         return [int(poisson(expected_total * f)) for f in self._fractions]
+
+    def tick_counts(self, time: float, dt: float) -> list[int]:
+        """:meth:`arrival_counts` of the tick at ``time``, drawn in blocks.
+
+        A tick loop calls this at ``time``, ``time + dt``, ... in order.
+        Each call past the end of the last block draws the next
+        :data:`BLOCK_TICKS` ticks at once (:meth:`_draw_block`), so the
+        counts, and the generator's state after a block, are those of the
+        scalar calls.  A call inside a block at any other ``time`` or
+        ``dt`` than its next tick raises: that tick's counts were drawn
+        for another rate.
+        """
+        pos = self._block_pos
+        times = self._block_times
+        if pos == len(times):
+            times, self._block_counts = self._draw_block(time, dt, BLOCK_TICKS)
+            self._block_times, self._block_dt, pos = times, dt, 0
+        if time != times[pos] or dt != self._block_dt:
+            raise SimulationError(
+                f"tick ({time}, {dt}) is off the arrival schedule: "
+                f"the next tick is ({times[pos]}, {self._block_dt})"
+            )
+        self._block_pos = pos + 1
+        return self._block_counts[pos]
+
+    def _draw_block(
+        self, time: float, dt: float, ticks: int
+    ) -> tuple[list[float], list[list[int]]]:
+        """The times and arrival counts of ``ticks`` ticks from ``time``.
+
+        Each tick time is the one before plus ``dt``, the addition the
+        engine makes when a tick schedules the next.  One ``poisson`` call
+        takes every tick's rates in tick-major order; numpy draws an array
+        element by element with the scalar algorithm, so it draws what the
+        same scalar calls draw and leaves the generator where they do.
+        """
+        fractions = self._fractions
+        times: list[float] = []
+        rates: list[float] = []
+        for _ in range(ticks):
+            times.append(time)
+            expected_total = self.rate_at(time + dt / 2.0) * dt
+            rates.extend([expected_total * f for f in fractions])
+            time = time + dt
+        counts = self.rng.poisson(rates).reshape(ticks, len(fractions))
+        return times, counts.tolist()
 
     def demand_of(self, counts: list[int]) -> float:
         """Total processing demand of mix-ordered counts (request-equivalents)."""

@@ -209,9 +209,9 @@ class TelemetryHub:
             span_id=self._next_span_id,
             parent_id=parent.span_id if parent else None,
             sim_start=self.clock(),
-            # pfmlint suppression: this is the *wall* half of the span's
-            # dual sim/wall accounting; results never depend on it.
-            wall_start=time.perf_counter(),  # pfmlint: disable=PFM002
+            # The *wall* half of the span's dual sim/wall accounting;
+            # results never depend on it.
+            wall_start=time.perf_counter(),  # pfmlint: disable=PFM002 -- wall half
             attributes=dict(attributes),
         )
         self._next_span_id += 1

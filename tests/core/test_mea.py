@@ -201,3 +201,31 @@ class TestStepFailures:
         # Delays: 10+40, 10+80, 10+160 ... instead of 10, 10, 10.
         times = [r.time for r in cycle.history]
         assert times == [0.0, 50.0, 140.0]
+
+
+def test_a_simulation_error_ends_the_run_instead_of_the_step():
+    """Step containment is for faults of the PFM stack; a broken
+    simulation under it raises out of the cycle, unretried."""
+    from repro.errors import SimulationError
+    from repro.resilience import RetryPolicy
+
+    engine = Engine()
+    calls = []
+
+    def broken(ev):
+        calls.append(ev)
+        raise SimulationError("the simulation cannot be copied")
+
+    cycle = MEACycle(
+        engine=engine,
+        monitor=lambda: 1.0,
+        evaluate=lambda obs: EvaluationResult(score=1.0, warning=True),
+        act=broken,
+        period=10.0,
+        retry=RetryPolicy(max_attempts=3),
+    )
+    cycle.start()
+    with pytest.raises(SimulationError, match="cannot be copied"):
+        engine.run(until=50.0)
+    assert len(calls) == 1
+    assert cycle.failures == []

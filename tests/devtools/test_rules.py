@@ -311,6 +311,31 @@ class TestPFM007FrozenSpecMutation:
         )
         assert len(findings) == 1
 
+    def test_flags_a_nested_function_assignment_once(self):
+        findings = run_rule(
+            "PFM007",
+            """
+            def outer():
+                def inner():
+                    spec = RunSpec()
+                    spec.seed = 2
+            """,
+        )
+        assert [(f.rule, f.line) for f in findings] == [("PFM007", 5)]
+
+    def test_flags_an_assignment_to_an_enclosing_functions_spec(self):
+        findings = run_rule(
+            "PFM007",
+            """
+            def outer():
+                spec = RunSpec()
+
+                def inner():
+                    spec.seed = 2
+            """,
+        )
+        assert len(findings) == 1
+
     def test_flags_locally_defined_frozen_dataclass(self):
         findings = run_rule(
             "PFM007",

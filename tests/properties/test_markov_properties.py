@@ -1,7 +1,7 @@
 """Hypothesis property tests for the Markov substrate."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -85,6 +85,8 @@ class TestPhaseTypeProperties:
         st.floats(0.0, 10.0),
     )
     @settings(max_examples=40, deadline=None)
+    # F(1e-5) is about 1e-21 here; unclipped it rounded to -2.2e-16.
+    @example(rates=[1.453125, 1.84375, 1.0, 1.0], t1=0.0, t2=1e-05)
     def test_cdf_monotone_and_bounded(self, rates, t1, t2):
         """Erlang-style chains: F is a cdf (monotone, in [0, 1])."""
         n = len(rates)

@@ -20,7 +20,7 @@ import pytest
 from repro.actions.checkpoint import PreparedRepairAction
 from repro.core.controller import PFMController
 import repro.core.experiment as experiment
-from repro.core.experiment import run_closed_loop, train_spec
+from repro.core.experiment import resolve_spec, train_spec
 from repro.faults.injectors import IntermittentErrorInjector
 from repro.fleet.spec import RunSpec
 from repro.resilience.campaign import (
@@ -198,8 +198,29 @@ def trained():
 
 
 def _controller_run(seed: int, trained) -> None:
+    """A closed loop's baseline and PFM runs, each simulated from the start.
+
+    ``run_closed_loop`` forks its baseline from the PFM run by a pickle
+    round trip, which neither run here survives: the recorder wraps every
+    callback in a closure, and the reference loops are generators.  So
+    the scenario builds both runs itself, and both are compared event for
+    event.
+    """
     spec = RunSpec(seed=11, eval_seed=seed, horizon=EVAL_HORIZON)
-    run_closed_loop(spec, trained=trained)
+    variables, _, eval_config = resolve_spec(spec)
+    predictor, training_scores = trained
+    prepare_simulation(eval_config, monitor=()).run()
+    pfm_sim = prepare_simulation(eval_config, monitor=())
+    controller = PFMController(
+        system=pfm_sim.system,
+        predictor=predictor,
+        variables=variables,
+        lead_time=eval_config.lead_time,
+        data_window=eval_config.data_window,
+    )
+    controller.calibrate_confidence(training_scores)
+    controller.start()
+    pfm_sim.run()
 
 
 def _shard_spec(seed: int) -> RunSpec:

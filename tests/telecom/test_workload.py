@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.telecom import Protocol, ServiceType, WorkloadConfig, WorkloadModel
-from repro.telecom.workload import DAY
+from repro.telecom.workload import BLOCK_TICKS, DAY
 
 
 def make_model(rng, **kwargs):
@@ -73,3 +75,64 @@ class TestArrivals:
         assert split[Protocol.SS7] == 80
         assert split[Protocol.RADIUS] == 20
         assert split[Protocol.IP] == 10  # 10% management share
+
+
+def _twins(seed: int, **kwargs) -> tuple[WorkloadModel, WorkloadModel]:
+    """Two models on generators seeded alike."""
+    return (
+        make_model(np.random.default_rng(seed), **kwargs),
+        make_model(np.random.default_rng(seed), **kwargs),
+    )
+
+
+def _scalar_ticks(model: WorkloadModel, time: float, dt: float, ticks: int):
+    counts = []
+    for _ in range(ticks):
+        counts.append(model.arrival_counts(time, dt))
+        time = time + dt
+    return counts
+
+
+class TestBlockDraws:
+    """``tick_counts`` draws ahead in blocks; a block must be exactly the
+    scalar draws it replaces."""
+
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        start=st.floats(0.0, 60 * DAY),
+        dt=st.floats(1e-3, 3_600.0),
+        ticks=st.integers(1, 300),
+        base_rate=st.sampled_from([0.5, 120.0, 5_000.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_a_block_is_the_scalar_draws(self, seed, start, dt, ticks, base_rate):
+        block, scalar = _twins(seed, base_rate=base_rate)
+        times, counts = block._draw_block(start, dt, ticks)
+        assert counts == _scalar_ticks(scalar, start, dt, ticks)
+        assert block.rng.bit_generator.state == scalar.rng.bit_generator.state
+        assert times[0] == start and len(times) == ticks
+        for before, after in zip(times, times[1:]):
+            assert after == before + dt
+
+    @given(
+        seed=st.integers(0, 2**63 - 1),
+        dt=st.sampled_from([5.0, 0.1, 60.0]),
+        ticks=st.integers(1, 3 * BLOCK_TICKS + 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_tick_counts_are_the_scalar_counts(self, seed, dt, ticks):
+        block, scalar = _twins(seed)
+        time, counts = 0.0, []
+        for _ in range(ticks):
+            counts.append(block.tick_counts(time, dt))
+            time = time + dt
+        assert counts == _scalar_ticks(scalar, 0.0, dt, ticks)
+
+    def test_a_tick_off_the_schedule_raises(self, rng):
+        model = make_model(rng)
+        model.tick_counts(0.0, 5.0)
+        with pytest.raises(SimulationError, match="off the arrival schedule"):
+            model.tick_counts(10.0, 5.0)
+        with pytest.raises(SimulationError, match="off the arrival schedule"):
+            model.tick_counts(5.0, 10.0)
+        assert len(model.tick_counts(5.0, 5.0)) == 3
