@@ -124,8 +124,7 @@ def simulate_and_train(
         consumes=consumes,
         rng=np.random.default_rng(config.seed + 917),
     )
-    predictor.fit(data)
-    scores = predictor.score_batch(data.batch())
+    scores = predictor.fit_and_score(data)
     predictor.calibrate_threshold(scores, data.labels)
     return predictor, scores, data
 
@@ -140,8 +139,10 @@ def train_predictor(
     Works for any unified :class:`~repro.prediction.base.Predictor`: the
     training bundle carries whichever views the predictor declares it
     consumes (feature samples, event sequences, or — for a mixed
-    arbitration panel — both), scores come from the aligned calibration
-    batch, and the warning threshold is set at the max-F point.  Without
+    arbitration panel — both), the training scores of the aligned rows
+    come from :meth:`~repro.prediction.base.Predictor.fit_and_score`
+    (a panel fuses the member scores its fit already computed), and the
+    warning threshold is set at their max-F point.  Without
     a ``predictor``, the registry's ``"ubf"`` seeded from ``config.seed``
     is trained.
 

@@ -71,6 +71,10 @@ class ArbitrationMember:
                 f"got {self.criticality}"
             )
 
+    def activation(self, raw: np.ndarray) -> np.ndarray:
+        """Calibrated activation probabilities of raw member scores."""
+        return np.clip(self.calibrator.predict_proba(raw), 0.0, 1.0)
+
 
 @dataclass
 class Attribution:
@@ -99,7 +103,9 @@ class NoisyOrArbitrator(Predictor):
     ``fit`` trains every member on the shared
     :class:`~repro.prediction.base.TrainingData` bundle, then fits one
     Platt calibrator per member mapping that member's raw scores on the
-    aligned calibration panel to activation probabilities.
+    aligned calibration panel to activation probabilities, and keeps those
+    probabilities so :meth:`fit_and_score` fuses them without scoring the
+    training rows again.
 
     Scores returned by :meth:`score_batch` ARE calibrated system-level
     failure probabilities (``scores_are_probabilities``), so downstream
@@ -142,6 +148,10 @@ class NoisyOrArbitrator(Predictor):
         self.live_window = None
         #: Attribution of the most recent scored example (telemetry aid).
         self.last_attribution: Attribution | None = None
+        #: Calibrated member probabilities on the training rows, shape
+        #: ``(n, n_members)``: kept by :meth:`fit` for
+        #: :meth:`fit_and_score`, never pickled.
+        self.training_probabilities: np.ndarray | None = None
         self.info = PredictorInfo(
             name="noisy-or",
             category="meta/arbitration",
@@ -195,7 +205,8 @@ class NoisyOrArbitrator(Predictor):
         Calibration requires ``data.labels`` plus whichever aligned views
         (``x``, ``sequences``) the panel consumes, so each member's raw
         score on row *t* can be paired with the ground-truth label of the
-        same instant.
+        same instant.  The calibrated probabilities of those rows are
+        kept in :attr:`training_probabilities`.
         """
         if data.labels is None:
             raise ConfigurationError(
@@ -203,12 +214,25 @@ class NoisyOrArbitrator(Predictor):
             )
         with self.telemetry.span("arbitration.fit", members=len(self.members)):
             batch = data.batch()
+            columns = []
             for member in self.members:
                 member.predictor.fit(data)
                 raw = np.asarray(member.predictor.score_batch(batch), dtype=float)
                 member.calibrator = PlattScaling().fit(raw, data.labels)
+                columns.append(member.activation(raw))
+            self.training_probabilities = np.column_stack(columns)
         self._fitted = True
         return self
+
+    def fit_and_score(self, data: TrainingData) -> np.ndarray:
+        """Fit, then fuse the training probabilities the fit kept.
+
+        The same fused scores and :attr:`last_attribution` as
+        ``score_batch(data.batch())`` after :meth:`fit`, without scoring
+        every member on the training rows a second time.
+        """
+        self.fit(data)
+        return self._fuse_and_attribute(self.training_probabilities)
 
     def member_probabilities(self, batch) -> np.ndarray:
         """Calibrated activation probabilities, shape ``(n, n_members)``."""
@@ -217,7 +241,7 @@ class NoisyOrArbitrator(Predictor):
         columns = []
         for member in self.members:
             raw = np.asarray(member.predictor.score_batch(batch), dtype=float)
-            columns.append(np.clip(member.calibrator.predict_proba(raw), 0.0, 1.0))
+            columns.append(member.activation(raw))
         return np.column_stack(columns)
 
     def _fuse(self, probabilities: np.ndarray) -> np.ndarray:
@@ -227,22 +251,25 @@ class NoisyOrArbitrator(Predictor):
         )
         return 1.0 - survival
 
+    def _fuse_and_attribute(self, probabilities: np.ndarray) -> np.ndarray:
+        """Fused probabilities, recording the last row's attribution."""
+        fused = self._fuse(probabilities)
+        self.last_attribution = self._attribution_row(
+            probabilities[-1], float(fused[-1])
+        )
+        if self.telemetry.enabled:
+            self.telemetry.gauge("arbitration_fused_probability").set(
+                float(fused[-1])
+            )
+        return fused
+
     def score_batch(self, batch) -> np.ndarray:
         """Fused system-level failure probability per example."""
         batch = PredictionBatch.coerce(batch)
         with self.telemetry.span(
             "arbitration.fuse", members=len(self.members), examples=len(batch)
         ):
-            probabilities = self.member_probabilities(batch)
-            fused = self._fuse(probabilities)
-            self.last_attribution = self._attribution_row(
-                probabilities[-1], float(fused[-1])
-            )
-            if self.telemetry.enabled:
-                self.telemetry.gauge("arbitration_fused_probability").set(
-                    float(fused[-1])
-                )
-        return fused
+            return self._fuse_and_attribute(self.member_probabilities(batch))
 
     def score_samples(self, x: np.ndarray) -> np.ndarray:
         """Symptom-dialect entry point (controller / fallback seam).
@@ -311,5 +338,6 @@ class NoisyOrArbitrator(Predictor):
         state["live_window"] = None
         state["telemetry"] = NULL_HUB
         state["last_attribution"] = None
+        state["training_probabilities"] = None
         return state
 

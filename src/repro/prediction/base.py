@@ -46,6 +46,17 @@ SAMPLES = "samples"
 SEQUENCES = "sequences"
 
 
+def is_binary(values) -> bool:
+    """Whether every element of ``values`` is 0 or 1 (true when empty).
+
+    The same truth value as ``set(np.unique(values)).issubset({0.0, 1.0})``
+    on every input, NaN included, but elementwise: ``np.unique`` sorts and
+    imports ``numpy.ma`` on its first call.
+    """
+    values = np.asarray(values)
+    return bool(np.all((values == 0) | (values == 1)))
+
+
 @dataclass(frozen=True)
 class Prediction:
     """One prediction: a score, the warning decision, and its horizon."""
@@ -255,6 +266,17 @@ class Predictor(_ThresholdMixin, abc.ABC):
     @abc.abstractmethod
     def score_batch(self, batch) -> np.ndarray:
         """Failure-proneness score per example (higher = failure-prone)."""
+
+    def fit_and_score(self, data: TrainingData) -> np.ndarray:
+        """Train on ``data``, then return the scores of its aligned rows.
+
+        The training pass behind every threshold calibration: the default
+        is ``fit(data)`` followed by ``score_batch(data.batch())``.  A
+        predictor whose fit already scores those rows overrides it to
+        return the same scores without scoring them again.
+        """
+        self.fit(data)
+        return self.score_batch(data.batch())
 
     def predict_batch(self, batch) -> np.ndarray:
         """Boolean warnings at the current threshold."""

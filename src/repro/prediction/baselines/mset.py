@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.prediction.base import PredictorInfo, SymptomPredictor
+from repro.prediction.base import PredictorInfo, SymptomPredictor, is_binary
 from repro.prediction.kmeans import kmeans2
 from repro.rng import ensure_rng
 
@@ -56,7 +56,7 @@ class MSETPredictor(SymptomPredictor):
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
-        if set(np.unique(y)).issubset({0.0, 1.0}):
+        if is_binary(y):
             healthy = y < 0.5
         else:
             healthy = y >= np.quantile(y, 0.25)

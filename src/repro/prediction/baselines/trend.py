@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.prediction.base import PredictorInfo, SymptomPredictor
+from repro.prediction.base import PredictorInfo, SymptomPredictor, is_binary
 from repro.prediction.metrics import auc
 
 
@@ -81,7 +81,7 @@ class TrendAnalysisPredictor(SymptomPredictor):
     @staticmethod
     def _labels_from_target(y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float).ravel()
-        if set(np.unique(y)).issubset({0.0, 1.0}):
+        if is_binary(y):
             return y.astype(bool)
         # Continuous availability target: failures are the low tail.
         return y < np.quantile(y, 0.1)

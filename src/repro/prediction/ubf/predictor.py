@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.prediction.base import PredictorInfo, SymptomPredictor
+from repro.prediction.base import PredictorInfo, SymptomPredictor, is_binary
 from repro.prediction.ubf.network import UBFNetwork
 from repro.prediction.ubf.pwa import ProbabilisticWrapper, SelectionResult
 from repro.rng import ensure_rng
@@ -79,7 +79,7 @@ class UBFPredictor(SymptomPredictor):
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
-        if y.dtype == bool or set(np.unique(y)).issubset({0.0, 1.0}):
+        if is_binary(y):
             y = 1.0 - y
         target = availability_to_nines(y)
         if self.select_variables and x.shape[1] > 1:

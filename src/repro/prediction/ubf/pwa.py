@@ -66,7 +66,8 @@ class RidgeCVFitness:
             x_train, y_train = x[train], y[train]
             x_test, y_test = x[test], y[test]
             mean = x_train.mean(axis=0)
-            std = np.where(x_train.std(axis=0) > 1e-12, x_train.std(axis=0), 1.0)
+            std = x_train.std(axis=0)
+            std = np.where(std > 1e-12, std, 1.0)
             a = np.column_stack(
                 [np.ones(train.size), (x_train - mean) / std]
             )
@@ -84,6 +85,20 @@ class RidgeCVFitness:
 def ridge_cv_fitness(folds: int = 3, ridge: float = 1e-2) -> Fitness:
     """The default :class:`RidgeCVFitness`, as a plain callable."""
     return RidgeCVFitness(folds=folds, ridge=ridge)
+
+
+def _median(values: np.ndarray) -> np.float64:
+    """``np.median`` of a non-empty 1-D float array, bit for bit.
+
+    The middle value, or the mean of the two middle values, summed from
+    ``0.0`` the way ``np.mean`` sums (so ``-0.0`` reads ``0.0``); unlike
+    ``np.median`` it does not import ``numpy.ma``.
+    """
+    ordered = np.sort(values)
+    middle = ordered.size // 2
+    if ordered.size % 2:
+        return 0.0 + ordered[middle]
+    return (0.0 + ordered[middle - 1] + ordered[middle]) / 2.0
 
 
 @dataclass
@@ -135,6 +150,12 @@ class ProbabilisticWrapper:
         self.rng = ensure_rng(rng, default_seed=0)
 
     def select(self, x: np.ndarray, y: np.ndarray) -> SelectionResult:
+        """Sample and score candidate subsets; keep the best one seen.
+
+        A candidate mask drawn again in the same call reuses its fitness
+        (the fitness is a function of the subset), and ``evaluations``
+        counts candidates, scored or reused.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float).ravel()
         n_vars = x.shape[1]
@@ -144,6 +165,7 @@ class ProbabilisticWrapper:
         best_subset = list(range(n_vars))
         best_fit = self.fitness(x, y)
         evaluations = 1
+        scored: dict[bytes, float] = {}
         for _ in range(self.n_rounds):
             subsets: list[np.ndarray] = []
             fits: list[float] = []
@@ -162,7 +184,10 @@ class ProbabilisticWrapper:
                 if not mask.any():
                     mask[self.rng.integers(n_vars)] = True
                 subset = np.nonzero(mask)[0]
-                fit = self.fitness(x[:, subset], y)
+                key = mask.tobytes()
+                fit = scored.get(key)
+                if fit is None:
+                    fit = scored[key] = self.fitness(x[:, subset], y)
                 evaluations += 1
                 subsets.append(mask)
                 fits.append(fit)
@@ -174,7 +199,7 @@ class ProbabilisticWrapper:
             finite = np.isfinite(fits_arr)
             if finite.sum() < 2:
                 continue
-            median = np.median(fits_arr[finite])
+            median = _median(fits_arr[finite])
             good = [
                 m
                 for m, f in zip(subsets, fits, strict=True)

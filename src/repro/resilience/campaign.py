@@ -377,10 +377,10 @@ def _predictor_quality(
 
     One row (precision / recall / AUC / F at the operating threshold) for
     the primary and the MSET secondary; when the primary is a Noisy-OR
-    panel, one row per member (scored on its calibrated activation
-    probabilities at that member's max-F threshold) plus the best single
-    learner and the fused-minus-best AUC margin — the number that says
-    whether arbitration earned its keep.
+    panel, one row per member (its calibrated activation probabilities,
+    which the panel's fit kept, at that member's max-F threshold) plus the
+    best single learner and the fused-minus-best AUC margin — the number
+    that says whether arbitration earned its keep.
     """
     labels = np.asarray(data.labels, dtype=bool)
 
@@ -407,7 +407,7 @@ def _predictor_quality(
         "secondary": {"name": "mset", **row(secondary_scores, secondary.threshold)},
     }
     if isinstance(primary, NoisyOrArbitrator):
-        probabilities = primary.member_probabilities(data.batch())
+        probabilities = primary.training_probabilities
         members = {}
         for j, member in enumerate(primary.members):
             members[member.name] = {

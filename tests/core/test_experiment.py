@@ -7,13 +7,16 @@ days, enough for a handful of fault episodes.
 
 import inspect
 
+import numpy as np
 import pytest
 
 from repro.core import run_closed_loop
 from repro.core.experiment import DEFAULT_VARIABLES, resolve_spec, train_predictor
 from repro.fleet import RunSpec, run_fleet
 from repro.fleet.shards import execute_spec
-from repro.telecom.dataset import DatasetConfig
+from repro.prediction import make_predictor
+from repro.prediction.thresholds import max_f_threshold
+from repro.telecom.dataset import DatasetConfig, TelecomDataset
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +209,48 @@ class TestTrainPredictor:
         assert scores.size > 100
         # Threshold sits inside the observed score range.
         assert scores.min() <= predictor.threshold <= scores.max()
+
+    def test_panel_scores_its_training_rows_once(self, monkeypatch):
+        """A Noisy-OR panel's training scores are its fit's member scores,
+        fused: equal to a fresh ``score_batch`` of the training rows, with
+        the same threshold and attribution, and no member scores the rows
+        a second time."""
+        datasets = []
+        original = TelecomDataset.training_data
+
+        def keep(self, *args, **kwargs):
+            datasets.append(original(self, *args, **kwargs))
+            return datasets[-1]
+
+        monkeypatch.setattr(TelecomDataset, "training_data", keep)
+        panel = make_predictor(
+            {
+                "name": "noisy-or",
+                "members": ["ubf", "hsmm", "rate"],
+                "criticality": {"hsmm": 0.8},
+            },
+            rng=np.random.default_rng(21),
+        )
+        rows: dict[str, list[int]] = {m.name: [] for m in panel.members}
+        for member in panel.members:
+            score_batch = member.predictor.score_batch
+
+            def spy(batch, _name=member.name, _score_batch=score_batch):
+                rows[_name].append(len(batch))
+                return _score_batch(batch)
+
+            member.predictor.score_batch = spy
+
+        config = DatasetConfig(seed=11, horizon=21_600.0, sample_interval=180.0)
+        predictor, scores = train_predictor(config, DEFAULT_VARIABLES, panel)
+        (data,) = datasets
+        assert rows == {m.name: [len(data.labels)] for m in panel.members}
+
+        attribution = predictor.last_attribution
+        fresh = predictor.score_batch(data.batch())
+        assert np.array_equal(scores, fresh)
+        assert predictor.last_attribution == attribution
+        assert predictor.threshold == max_f_threshold(fresh, data.labels)[0]
 
     def test_default_variables_exist_on_system(self):
         from repro.simulator import Engine, RandomStreams

@@ -219,6 +219,7 @@ class TestProtocol:
         clone = pickle.loads(pickle.dumps(fitted))
         assert clone.live_window is None
         assert clone.last_attribution is None
+        assert clone.training_probabilities is None
         np.testing.assert_allclose(
             clone.score_batch(panel_data.batch()),
             fitted.score_batch(panel_data.batch()),
@@ -230,3 +231,38 @@ class TestProtocol:
         assert 0.0 <= fitted.threshold <= 1.0
         table = fitted.evaluate_batch(panel_data.batch(), panel_data.labels)
         assert table.f_measure > 0.5
+
+
+class TestTrainingPass:
+    """``fit`` keeps the training rows' member probabilities, and
+    ``fit_and_score`` fuses them instead of scoring the rows again."""
+
+    def _panel(self):
+        return NoisyOrArbitrator(
+            [("a", ColumnScorer(0)), ("b", ColumnScorer(1))],
+            criticality={"b": 0.5},
+            leak=0.02,
+        )
+
+    def test_fit_keeps_the_training_probabilities(self, fitted, panel_data):
+        kept = fitted.training_probabilities
+        assert kept.shape == (len(panel_data.labels), 2)
+        assert np.array_equal(kept, fitted.member_probabilities(panel_data.batch()))
+
+    def test_fit_and_score_equals_a_second_pass(self, panel_data):
+        panel = self._panel()
+        scores = panel.fit_and_score(panel_data)
+        attribution = panel.last_attribution
+        assert np.array_equal(scores, panel.score_batch(panel_data.batch()))
+        assert attribution == panel.last_attribution
+
+    def test_default_is_fit_then_score(self, panel_data):
+        member = ColumnScorer(1)
+        scores = member.fit_and_score(panel_data)
+        assert member._fitted
+        assert np.array_equal(scores, panel_data.x[:, 1])
+
+    def test_kept_probabilities_stay_out_of_pickles(self, fitted):
+        with_kept = pickle.dumps(fitted)
+        fitted.training_probabilities = None
+        assert pickle.dumps(fitted) == with_kept

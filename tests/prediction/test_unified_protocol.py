@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.prediction import PredictionBatch, TrainingData, make_predictor
-from repro.prediction.base import EventPredictor, SymptomPredictor
+from repro.prediction.base import EventPredictor, SymptomPredictor, is_binary
 from repro.monitoring.records import EventSequence
 
 
@@ -54,6 +54,36 @@ class TestTrainingData:
         batch = PredictionBatch(x=rng.normal(size=(3, 2)))
         with pytest.raises(ConfigurationError):
             batch.require_sequences("test")
+
+
+class TestIsBinary:
+    """``is_binary`` agrees with the ``np.unique`` set test it replaced."""
+
+    @staticmethod
+    def _by_unique(values) -> bool:
+        return set(np.unique(values)).issubset({0.0, 1.0})
+
+    def test_matches_the_unique_set_test(self):
+        rng = np.random.default_rng(3)
+        pool = [0.0, 1.0, -0.0, 0.5, -1.0, 2.0, np.nan, np.inf, -np.inf, 1e-300]
+        cases = [
+            np.array([]),
+            np.zeros((0, 3)),
+            np.array([], dtype=bool),
+            np.array([np.nan]),
+            np.array([0.0, np.nan]),
+            np.array([True, False]),
+            np.array([0, 1, 1]),
+            np.array([0, 2]),
+            np.array([[0.0, 1.0], [1.0, 0.0]]),
+        ]
+        for n in range(1, 12):
+            for _ in range(40):
+                cases.append(rng.choice(pool, n))
+                cases.append(rng.choice([0.0, 1.0, -0.0], n))
+                cases.append(rng.random(n) < 0.5)
+        for values in cases:
+            assert is_binary(values) is self._by_unique(values), values
 
 
 class TestFamilyHooks:

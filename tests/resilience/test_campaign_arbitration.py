@@ -6,6 +6,7 @@ shared by all integration assertions; everything else is pure plumbing.
 
 import json
 
+import numpy as np
 import pytest
 
 import repro.resilience.campaign as campaign_module
@@ -17,11 +18,14 @@ from repro.resilience.campaign import (
     CampaignConfig,
     PFMFaultScenario,
     _config_from_spec,
+    _predictor_quality,
     _train_key,
+    _train_models,
     campaign_specs,
     run_campaign,
     training_plan_for_spec,
 )
+from repro.telecom.dataset import TelecomDataset
 
 PANEL = {
     "name": "noisy-or",
@@ -142,6 +146,42 @@ class TestSpecPlumbing:
             "hsmm",
             "rate",
         ]
+
+
+class TestTrainingQuality:
+    def test_quality_reads_the_probabilities_the_fit_kept(self, monkeypatch):
+        """The member rows come from the panel's fit, not a third scoring
+        pass, and equal the rows of a rescored training batch."""
+        datasets = []
+        original = TelecomDataset.training_data
+
+        def keep(self, *args, **kwargs):
+            datasets.append(original(self, *args, **kwargs))
+            return datasets[-1]
+
+        monkeypatch.setattr(TelecomDataset, "training_data", keep)
+        spec = campaign_specs(
+            CampaignConfig(
+                train_seed=11, eval_seed=21, horizon=21_600.0, predictor=PANEL
+            )
+        )[1]
+        primary, secondary, training_scores, quality = _train_models(spec)
+        (data,) = datasets
+
+        rescored = primary.member_probabilities(data.batch())
+        assert np.array_equal(primary.training_probabilities, rescored)
+        primary.training_probabilities = rescored
+        expected = _predictor_quality(
+            primary,
+            secondary,
+            data,
+            training_scores,
+            secondary.score_samples(data.x),
+        )
+        assert set(quality["members"]) == {"ubf", "hsmm", "rate"}
+        assert json.dumps(quality, sort_keys=True) == json.dumps(
+            expected, sort_keys=True
+        )
 
 
 class TestFusedCampaign:

@@ -85,7 +85,10 @@ def test_public_imports_leave_scipy_unloaded():
 
 def test_training_and_runs_leave_scipy_unloaded():
     """Nor on the run path: the default UBF's training, a closed loop, and
-    a Noisy-OR panel's fit (its HSMM member included), at a tiny horizon."""
+    a Noisy-OR panel's fit (its HSMM member included), at a tiny horizon.
+
+    The same path leaves ``numpy.ma`` unloaded too: ``np.unique`` and
+    ``np.median`` import it on first use, at about 10 ms per process."""
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -101,8 +104,9 @@ def test_training_and_runs_leave_scipy_unloaded():
         ")\n"
         "train_predictor(DatasetConfig(seed=11, horizon=21_600.0), DEFAULT_VARIABLES, panel)\n"
         + LOADED_SCIPY
+        + "print('numpy.ma' in sys.modules)\n"
     )
-    assert _run_fresh(code) == "[]"
+    assert _run_fresh(code).splitlines() == ["[]", "False"]
 
 
 def test_version_exposed():
